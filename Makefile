@@ -5,16 +5,18 @@ GO ?= go
 
 .PHONY: all build test vet staticcheck race cover bench bench-json \
 	bench-baseline figures report examples clean check fmt-check \
-	fuzz-smoke chaos-smoke serve
+	fuzz-smoke chaos-smoke determinism-stress serve
 
 all: build vet test
 
 # The CI gate: formatting, vet, staticcheck (when installed),
-# race-enabled tests, and a short fuzz smoke pass over every fuzz target.
+# race-enabled tests, a short fuzz smoke pass over every fuzz target, and
+# the determinism stress runs.
 check: fmt-check vet staticcheck
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos-smoke
+	$(MAKE) determinism-stress
 
 # staticcheck is optional locally (CI installs it): skip with a notice
 # when the binary is absent rather than failing the gate.
@@ -57,6 +59,15 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/journal
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/server ./cmd/ppnd ./internal/engine
+
+# Determinism contract under load: every determinism test, repeated at
+# several scheduler widths, so a schedule-dependent partition, trace or
+# metric fails loudly instead of once in a few hundred runs.
+determinism-stress:
+	@for procs in 1 2 4; do \
+		echo "GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs $(GO) test -run 'Determinis' -count=30 ./... || exit 1; \
+	done
 
 build:
 	$(GO) build ./...

@@ -75,9 +75,11 @@ type Options struct {
 	// level scheme of Osipov & Sanders (§III of the paper discusses it);
 	// the default (false) is the paper's matching-based coarsening.
 	NLevelCoarsening bool
-	// Parallelism is the number of cycles explored concurrently (default
-	// GOMAXPROCS). Results are reduced deterministically, so any value
-	// yields the same partition as a serial run.
+	// Parallelism is the number of cycles explored concurrently after
+	// cycle 0 (default GOMAXPROCS). Cycle 0 runs alone, with every CPU
+	// for its own fan-outs, unless MinimizeAfterFeasible. Results are
+	// reduced deterministically, so any value yields the same partition
+	// as a serial run.
 	Parallelism int
 	// Seed makes the run reproducible (default 1).
 	Seed int64

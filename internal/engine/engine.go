@@ -79,8 +79,11 @@ type Config struct {
 	MatchHeuristics []match.Heuristic
 	// NLevelCoarsening selects one-edge-per-level coarsening.
 	NLevelCoarsening bool
-	// Parallelism is the number of cycles explored concurrently (default
-	// GOMAXPROCS); any value yields the same partition as a serial run.
+	// Parallelism is the width of the cycle batches after cycle 0
+	// (default GOMAXPROCS). Cycle 0 runs alone with the whole pool, since
+	// a feasible cycle 0 ends the search; with MinimizeAfterFeasible every
+	// cycle runs and cycle 0 starts a full-width batch too. Any value
+	// yields the same partition and trace as a serial run.
 	Parallelism int
 	// Pool executes every parallel fan-out of the solve — the cycle
 	// batches, the pipeline race, the batch gain sweeps, the matching
@@ -406,11 +409,14 @@ type candidate struct {
 // deterministically. tr, when non-nil, collects the structured solve
 // trace; nil tr makes every trace hook a skipped nil check.
 //
-// Cycles are explored in deterministic parallel batches of
-// cfg.Parallelism. Serial semantics: stop at the first feasible cycle
-// (lowest cycle index) unless MinimizeAfterFeasible. A batch may
-// overshoot the stopping cycle; overshoot results are discarded to keep
-// parallel == serial.
+// Serial semantics: stop at the first feasible cycle (lowest cycle index)
+// unless MinimizeAfterFeasible. Cycle 0 runs alone, so its nested
+// fan-outs (matching heuristics, the pipeline race, batch sweeps) have
+// the whole pool; a feasible cycle 0 ends the search without a sibling
+// cycle that would only be discarded. Later cycles run in deterministic
+// batches of cfg.Parallelism, and with MinimizeAfterFeasible (where every
+// cycle runs anyway) so does cycle 0. A batch may overshoot the stopping
+// cycle; overshoot results are discarded to keep parallel == serial.
 func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome {
 	cfg := &s.cfg
 	tr.begin(cfg)
@@ -429,11 +435,13 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 	var best candidate
 	best.cycle = -1
 	cyclesRun := 0
-	for base := 0; base < cfg.MaxCycles && ctx.Err() == nil; base += cfg.Parallelism {
-		batch := cfg.Parallelism
-		if base+batch > cfg.MaxCycles {
-			batch = cfg.MaxCycles - base
-		}
+	stopAt := -1
+	width := 1
+	if cfg.MinimizeAfterFeasible {
+		width = cfg.Parallelism
+	}
+	for base := 0; stopAt < 0 && base < cfg.MaxCycles && ctx.Err() == nil; base, width = base+width, cfg.Parallelism {
+		batch := min(width, cfg.MaxCycles-base)
 		results := make([]candidate, batch)
 		panics := make([]*cyclePanic, batch)
 		cfg.Pool.Run(batch, func(i int) {
@@ -454,11 +462,29 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 				panic(cp)
 			}
 		}
-		// The retry phase decides, in cycle order, where a serial run
-		// would have stopped; every result past that point is overshoot.
-		stopAt := -1
+		// The reduction walks the batch in cycle order. The retry phase
+		// decides where a serial run would have stopped; every result
+		// past that point is overshoot.
 		for _, c := range results {
-			if c.parts == nil {
+			if stopAt >= 0 {
+				// A serial run would never have executed this cycle.
+				tr.commit(c.trace.stub(false))
+				continue
+			}
+			if c.parts == nil && !c.pruned {
+				// Cancelled mid-cycle produced nothing.
+				tr.commit(c.trace)
+				continue
+			}
+			// With MinimizeAfterFeasible a perfect (goodness-0) lower
+			// cycle prunes every later one (see PruneDeterministic).
+			// Whether this cycle saw that incumbent mid-flight depends on
+			// timing, so the reduction applies the rule itself.
+			if c.pruned || (cfg.Prune != PruneOff && best.feasible && best.goodness == 0) {
+				// A pruned cycle would have completed with a result the
+				// reduction discards, so it still counts as executed.
+				tr.commit(c.trace.stub(true))
+				cyclesRun++
 				continue
 			}
 			rc := &Cycle{Ctx: ctx, Cfg: cfg, Graph: g, Index: c.cycle,
@@ -466,35 +492,12 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 			s.runStage(rc, PhaseRetry)
 			if rc.StopSearch {
 				stopAt = c.cycle
-				break
-			}
-		}
-		for _, c := range results {
-			if stopAt >= 0 && c.cycle > stopAt {
-				// A serial run would never have executed this cycle.
-				if c.trace != nil {
-					c.trace.Discarded = true
-				}
-				tr.commit(c.trace)
-				continue
 			}
 			tr.commit(c.trace)
-			if c.parts == nil {
-				// Cancelled mid-cycle produced nothing; a pruned cycle
-				// would have completed (with a result the reduction
-				// discards), so it still counts as executed.
-				if c.pruned {
-					cyclesRun++
-				}
-				continue
-			}
 			cyclesRun++
 			if best.cycle < 0 || better(c, best) {
 				best = c
 			}
-		}
-		if stopAt >= 0 {
-			break
 		}
 	}
 	stopped := ctx.Err() != nil
@@ -599,7 +602,6 @@ func (s *Solver) gpCycle(cy *Cycle) (result []int, pruned bool) {
 		cy.trace.CoarsenNS = cy.since(t)
 	}
 	if cy.abandon() {
-		cy.markPruned(PhaseCoarsen)
 		return nil, true
 	}
 
@@ -625,7 +627,6 @@ func (s *Solver) gpCycle(cy *Cycle) (result []int, pruned bool) {
 	// posteriori using a goodness function; the best is chosen").
 	for cy.Level > 0 {
 		if cy.abandon() {
-			cy.markPruned(PhaseUncoarsen)
 			return nil, true
 		}
 		if err := s.runStage(cy, PhaseUncoarsen); err != nil {
@@ -649,12 +650,5 @@ func (s *Solver) gpCycle(cy *Cycle) (result []int, pruned bool) {
 func (cy *Cycle) markCancelled() {
 	if cy.trace != nil {
 		cy.trace.Cancelled = true
-	}
-}
-
-func (cy *Cycle) markPruned(at Phase) {
-	if cy.trace != nil {
-		cy.trace.Pruned = true
-		cy.trace.PrunedAt = at.String()
 	}
 }

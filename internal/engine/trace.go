@@ -15,12 +15,14 @@ import (
 // (the bench gate on BenchmarkScaleGP holds the refactor to that claim).
 //
 // A Trace must not be reused across Solve calls. Cycles record into
-// private per-cycle buffers while running and commit them in deterministic
-// batch order, so the assembled record sequence is independent of
-// goroutine scheduling. Wall-clock fields are the one nondeterministic
-// ingredient; OmitTiming zeroes them (and skips the clock reads), which is
-// what makes two identically-seeded runs produce byte-identical JSON —
-// the golden determinism test pins exactly that.
+// private per-cycle buffers while running and commit them in cycle order
+// from the reduction, so the assembled record sequence is independent of
+// goroutine scheduling. Pruned and overshoot cycles commit as canonical
+// stubs, because how far they ran before being dropped is a matter of
+// timing. Wall-clock fields are the one nondeterministic ingredient;
+// OmitTiming zeroes them (and skips the clock reads), which is what makes
+// two identically-seeded runs produce byte-identical JSON — the golden
+// determinism tests pin exactly that.
 type Trace struct {
 	// OmitTiming leaves every *_ns field zero so the encoded trace is a
 	// pure function of (graph, config). Used by golden tests; leave unset
@@ -38,7 +40,8 @@ type TraceData struct {
 	K           int    `json:"k"`
 	Parallelism int    `json:"parallelism"`
 	Prune       string `json:"prune"`
-	// Cycles holds one record per GP cycle that started, in cycle order.
+	// Cycles holds one record per GP cycle that started, in cycle order
+	// (pruned and overshoot cycles as stubs; see CycleTrace.stub).
 	Cycles []*CycleTrace `json:"cycles"`
 	// Outcome summarizes the reduction across cycles.
 	Outcome *OutcomeTrace `json:"outcome,omitempty"`
@@ -54,10 +57,10 @@ type CycleTrace struct {
 	Seeding *SeedTrace `json:"seeding,omitempty"`
 	// Refines are the per-level refinement outcomes, coarsest first.
 	Refines []RefineTrace `json:"refines,omitempty"`
-	// Pruned is set when the cycle abandoned itself against the shared
-	// incumbent; PrunedAt names the phase that observed the incumbent.
-	Pruned   bool   `json:"pruned,omitempty"`
-	PrunedAt string `json:"pruned_at,omitempty"`
+	// Pruned is set on a cycle whose result the reduction provably
+	// discards because a lower cycle dominates it, whether or not the
+	// cycle abandoned itself against the shared incumbent in time.
+	Pruned bool `json:"pruned,omitempty"`
 	// Cancelled is set when the context expired mid-cycle.
 	Cancelled bool `json:"cancelled,omitempty"`
 	// Discarded is set on overshoot cycles a serial run would never have
@@ -185,6 +188,27 @@ type OutcomeTrace struct {
 	CyclesRun int     `json:"cycles_run"`
 	BestCycle int     `json:"best_cycle"`
 	Stopped   bool    `json:"stopped,omitempty"`
+}
+
+// stub reduces the record of a cycle the reduction ignores (pruned, or
+// overshoot when !pruned) to its canonical form: the index, the flag and
+// the wall times. How far such a cycle got before it abandoned itself or
+// its batch finished depends on timing, so its per-level records, retry
+// decision and score are dropped; what remains is a function of the
+// reduction alone.
+func (ct *CycleTrace) stub(pruned bool) *CycleTrace {
+	if ct == nil {
+		return nil
+	}
+	return &CycleTrace{
+		Cycle:     ct.Cycle,
+		Pruned:    pruned,
+		Discarded: !pruned,
+		CoarsenNS: ct.CoarsenNS,
+		SeedNS:    ct.SeedNS,
+		RefineNS:  ct.RefineNS,
+		WallNS:    ct.WallNS,
+	}
 }
 
 // begin stamps the configuration echo fields.

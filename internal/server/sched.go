@@ -827,6 +827,10 @@ func (s *Scheduler) settle(j *Job, st JobState, res *JobResult, elapsed time.Dur
 	j.mu.Lock()
 	j.state = st
 	j.result = res
+	// Nothing reads the request or its graph after settling, and the
+	// retention ring keeps up to MaxFinishedJobs terminal jobs: release
+	// them so a finished job pins only its result.
+	j.req, j.g = nil, nil
 	j.mu.Unlock()
 	close(j.done)
 
