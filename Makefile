@@ -5,18 +5,26 @@ GO ?= go
 
 .PHONY: all build test vet staticcheck race cover bench bench-json \
 	bench-baseline figures report examples clean check fmt-check \
-	fuzz-smoke chaos-smoke determinism-stress serve
+	fuzz-smoke chaos-smoke determinism-stress perfbench-check serve
 
 all: build vet test
 
 # The CI gate: formatting, vet, staticcheck (when installed),
-# race-enabled tests, a short fuzz smoke pass over every fuzz target, and
-# the determinism stress runs.
+# race-enabled tests, a short fuzz smoke pass over every fuzz target, the
+# determinism stress runs, and the perfbench module's build and tests.
 check: fmt-check vet staticcheck
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) determinism-stress
+	$(MAKE) perfbench-check
+
+# perfbench is a separate Go module (it replaces ppnpart with ../), so the
+# root `go build ./...` never compiles it. Building, vetting and testing it
+# here catches a change to an internal name the benchmark uses before the
+# benchmark run does.
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # staticcheck is optional locally (CI installs it): skip with a notice
 # when the binary is absent rather than failing the gate.

@@ -244,10 +244,13 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 	return cur, nil
 }
 
-// BestMatching runs the competing heuristics on g and returns the matching
-// that hides the most edge weight (ties: most pairs, then heuristic
-// order). This is the paper's per-level comparison of the three
-// strategies.
+// bestMatchingScoredWS runs the competing heuristics on g and returns the
+// matching that hides the most edge weight (ties: most pairs, then
+// heuristic order). This is the paper's per-level comparison of the
+// three strategies. When record is set it also returns the
+// per-heuristic quality table the trace surfaces; recording reuses the
+// weights/pairs the reduction computes anyway, so it cannot change the
+// winner or any RNG draw.
 //
 // The heuristics run concurrently on the shared worker pool with a
 // deterministic split: every RNG-consuming heuristic stays in one task,
@@ -255,26 +258,11 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 // draws are exactly those of a serial run), while RNG-free heuristics fan
 // out as their own tasks. Results are reduced in heuristic order, which
 // makes the winner — and therefore the whole hierarchy — bit-identical to
-// a serial execution for a fixed seed and any pool width.
-func BestMatching(g *graph.Graph, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BestMatchingWS(ws, g, opts, rng)
-}
-
-// BestMatchingWS is BestMatching with heuristic scratch drawn from ws:
-// the RNG-consuming chain (which runs on one goroutine while the caller
-// waits) uses ws itself, and each RNG-free heuristic uses a persistent
-// child workspace so repeated levels and cycles reuse the same buffers.
-func BestMatchingWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic) {
-	m, h, _ := bestMatchingScoredWS(ws, g, opts, rng, false)
-	return m, h
-}
-
-// bestMatchingScoredWS is BestMatchingWS plus, when record is set, the
-// per-heuristic quality table the trace surfaces. Recording reuses the
-// weights/pairs the reduction computes anyway, so it cannot change the
-// winner or any RNG draw.
+// a serial execution for a fixed seed and any pool width. The
+// RNG-consuming chain (which runs on one goroutine while the caller
+// waits) draws scratch from ws itself, and each RNG-free heuristic uses
+// a persistent child workspace so repeated levels and cycles reuse the
+// same buffers.
 func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand, record bool) (match.Matching, match.Heuristic, []MatchCandidate) {
 	opts = opts.withDefaults()
 	results := make([]match.Matching, len(opts.Heuristics))

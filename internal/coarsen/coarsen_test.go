@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/match"
 	"ppnpart/internal/metrics"
@@ -225,7 +226,7 @@ func TestProjectToErrors(t *testing.T) {
 func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 60)
-	m, h := BestMatching(g, Options{}, rng)
+	m, h, _ := bestMatchingScoredWS(&arena.Workspace{}, g, Options{}, rng, false)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}

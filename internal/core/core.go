@@ -18,14 +18,13 @@
 //
 // The search itself lives in internal/engine as an explicit staged
 // pipeline; core is the stable public adapter: it validates and defaults
-// Options, runs the engine, layers the optional polishing extension on
+// Options, runs the engine, layers the optional replication extension on
 // top, and assembles the Result with its violation report and messages.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"ppnpart/internal/engine"
@@ -90,11 +89,6 @@ type Options struct {
 	// PruneAggressive trades determinism under MinimizeAfterFeasible
 	// for earlier abandonment.
 	Prune PruneMode
-	// Polish optionally runs a final local-search pass over the winning
-	// partition — an extension beyond the paper (§II-A discusses these
-	// strategies as related work). PolishNone (default) is the faithful
-	// configuration.
-	Polish PolishStrategy
 	// VectorResources optionally attaches multi-resource demands
 	// (VectorResources[u][d] = node u's use of resource kind d, e.g.
 	// BRAM and DSP alongside the scalar LUT weight). The paper handles a
@@ -138,8 +132,8 @@ func (o Options) vectorActive() bool {
 }
 
 // engineConfig adapts the search-relevant subset of Options to the
-// engine's configuration (polishing is a core-level extension applied to
-// the engine's outcome).
+// engine's configuration (replication is a core-level extension applied
+// to the engine's outcome).
 func (o Options) engineConfig() engine.Config {
 	return engine.Config{
 		K:                     o.K,
@@ -177,32 +171,6 @@ func (o Options) withDefaults() Options {
 	o.StreamSeedThreshold = c.StreamSeedThreshold
 	o.StreamIterations = c.StreamIterations
 	return o
-}
-
-// PolishStrategy selects the optional final local-search pass.
-type PolishStrategy int
-
-const (
-	// PolishNone disables polishing (the paper's configuration).
-	PolishNone PolishStrategy = iota
-	// PolishTabu runs constrained Tabu Search on the final partition.
-	PolishTabu
-	// PolishAnneal runs constrained simulated annealing.
-	PolishAnneal
-)
-
-// String names the strategy.
-func (p PolishStrategy) String() string {
-	switch p {
-	case PolishNone:
-		return "none"
-	case PolishTabu:
-		return "tabu"
-	case PolishAnneal:
-		return "anneal"
-	default:
-		return "polish(?)"
-	}
 }
 
 // Result carries the partition and run metadata.
@@ -277,30 +245,6 @@ func PartitionTraceCtx(ctx context.Context, g *graph.Graph, opts Options, tr *en
 
 	out := engine.New(opts.engineConfig()).Solve(ctx, g, tr)
 	parts, goodness, feasible := out.Parts, out.Goodness, out.Feasible
-
-	if out.Stopped {
-		// Best-effort return: skip polishing, which could take arbitrary
-		// extra time after the caller's deadline already fired.
-		opts.Polish = PolishNone
-	}
-	switch opts.Polish {
-	case PolishTabu:
-		refine.TabuSearch(g, parts, opts.K, opts.Constraints, refine.TabuOptions{})
-	case PolishAnneal:
-		refine.Anneal(g, parts, opts.K, opts.Constraints, refine.AnnealOptions{},
-			rand.New(rand.NewSource(opts.Seed^0x5DEECE66D)))
-	}
-	if opts.Polish != PolishNone {
-		// Polishing minimizes the scalar feasibility-first objective; the
-		// vector-extended score is recomputed so a polish move that broke
-		// a vector bound would be reflected (the vector rebalance below
-		// then repairs it).
-		if opts.vectorActive() {
-			refine.RebalanceVector(g, opts.VectorResources, parts, opts.K,
-				opts.VectorConstraints, opts.RefinePasses)
-		}
-		goodness, feasible = opts.engineConfig().Evaluate(g.ToCSR(), parts)
-	}
 
 	var replicas []int
 	replicated := 0

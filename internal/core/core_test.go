@@ -297,40 +297,6 @@ func TestPropertyFeasibleClaimsAreTrue(t *testing.T) {
 	}
 }
 
-func TestPolishStrategies(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	g := randomConnected(rng, 80)
-	c := metrics.Constraints{
-		Bmax: 2 * g.TotalEdgeWeight() / 4,
-		Rmax: g.TotalNodeWeight()/3 + 20,
-	}
-	plain, err := Partition(g, Options{K: 4, Constraints: c, Seed: 7, MaxCycles: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []PolishStrategy{PolishTabu, PolishAnneal} {
-		res, err := Partition(g, Options{K: 4, Constraints: c, Seed: 7, MaxCycles: 2, Polish: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := metrics.Validate(g, res.Parts, 4); err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		// Polishing minimizes the same objective: goodness never worse.
-		if res.Goodness > plain.Goodness {
-			t.Fatalf("%v worsened goodness: %v > %v", p, res.Goodness, plain.Goodness)
-		}
-		// The Feasible flag must stay truthful after polishing.
-		if res.Feasible != metrics.Feasible(g, res.Parts, 4, c) {
-			t.Fatalf("%v: feasibility flag stale", p)
-		}
-	}
-	if PolishNone.String() != "none" || PolishTabu.String() != "tabu" ||
-		PolishAnneal.String() != "anneal" || PolishStrategy(9).String() == "" {
-		t.Fatal("PolishStrategy names wrong")
-	}
-}
-
 func TestPartitionVectorResources(t *testing.T) {
 	// LUT-balanced but BRAM-skewed: half the nodes carry BRAM. A
 	// scalar-only run may pack the BRAM nodes together; the vector run

@@ -8,7 +8,7 @@
 // free when disabled.
 //
 // The solver is a pure search core: option validation, defaulting of the
-// public API surface, polishing, and result/report assembly stay in
+// public API surface, replication, and result/report assembly stay in
 // internal/core, which adapts Config/Outcome to its stable Options/Result
 // types. Determinism is contract, not accident — the batch-parallel cycle
 // loop, per-cycle RNG streams, and strict-improvement reductions are
@@ -37,8 +37,8 @@ import (
 )
 
 // Config parameterizes a Solver. It mirrors the search-relevant subset of
-// core.Options (polishing is a core-level extension layered on top of the
-// engine's outcome).
+// core.Options (replication is a core-level extension layered on top of
+// the engine's outcome).
 type Config struct {
 	// K is the number of partitions. Required, validated by the caller.
 	K int
@@ -154,7 +154,8 @@ func (c *Config) stateConfig(parts []int) pstate.Config {
 
 // Evaluate scores an assignment and checks every constraint from a single
 // incremental state build; bit-identical to composing metrics.Goodness
-// with metrics.VectorExcess. core uses it to re-score after polishing.
+// with metrics.VectorExcess. The solver uses it to score the round-robin
+// fallback returned when no cycle finished before cancellation.
 func (c Config) Evaluate(csr *graph.CSR, parts []int) (float64, bool) {
 	s, err := pstate.New(csr, parts, c.stateConfig(parts))
 	if err != nil {

@@ -20,7 +20,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"unknown_field":1}`))
-	f.Add([]byte(`{"seed":1,"k":4,"parallelism":2,"prune":"off","cycles":[]}`))
+	f.Add([]byte(`{"seed":1,"k":4,"prune":"off","cycles":[]}`))
 	f.Add([]byte(`{"cycles":[{"cycle":0,"feasible":true,"goodness":5,` +
 		`"levels":[{"level":0,"heuristic":"heavy-edge","fine_nodes":10,"coarse_nodes":5,"ratio":0.5,` +
 		`"candidates":[{"heuristic":"random","matched_weight":3,"pairs":2}]}],` +

@@ -35,15 +35,13 @@ func disjointRings(k, n int) *graph.Graph {
 	return g
 }
 
-// scheduleFree strips the two parts of a trace that describe the batch
-// schedule rather than the search: the parallelism echo, and the
-// overshoot stubs of cycles a serial run never starts (their number is a
-// function of the batch width). Everything else must be byte-identical
-// at every width.
+// scheduleFree strips the one part of a trace that describes the batch
+// schedule rather than the search: the overshoot stubs of cycles a serial
+// run never starts (their number is a function of the batch width).
+// Everything else must be byte-identical at every width.
 func scheduleFree(t *testing.T, tr *Trace) string {
 	t.Helper()
 	td := tr.Data()
-	td.Parallelism = 0
 	var kept []*CycleTrace
 	for _, ct := range td.Cycles {
 		if !ct.Discarded {

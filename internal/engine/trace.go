@@ -35,11 +35,12 @@ type Trace struct {
 
 // TraceData is the decoded (wire) form of a trace.
 type TraceData struct {
-	// Seed, K, Parallelism and Prune echo the solve configuration.
-	Seed        int64  `json:"seed"`
-	K           int    `json:"k"`
-	Parallelism int    `json:"parallelism"`
-	Prune       string `json:"prune"`
+	// Seed, K and Prune echo the search configuration. The batch width
+	// (Parallelism) is left out: a trace describes the search, not the
+	// schedule it ran on.
+	Seed  int64  `json:"seed"`
+	K     int    `json:"k"`
+	Prune string `json:"prune"`
 	// Cycles holds one record per GP cycle that started, in cycle order
 	// (pruned and overshoot cycles as stubs; see CycleTrace.stub).
 	Cycles []*CycleTrace `json:"cycles"`
@@ -218,10 +219,9 @@ func (tr *Trace) begin(cfg *Config) {
 	}
 	tr.mu.Lock()
 	tr.data = TraceData{
-		Seed:        cfg.Seed,
-		K:           cfg.K,
-		Parallelism: cfg.Parallelism,
-		Prune:       cfg.Prune.String(),
+		Seed:  cfg.Seed,
+		K:     cfg.K,
+		Prune: cfg.Prune.String(),
 	}
 	tr.mu.Unlock()
 }

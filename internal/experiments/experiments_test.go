@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ppnpart/internal/core"
+	"ppnpart/internal/gen"
+	"ppnpart/internal/metrics"
 )
 
 func TestRunTable1MatchesPaperShape(t *testing.T) {
@@ -407,5 +411,64 @@ func TestSummarizeDetectsMismatch(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "DIFFERS from the paper") {
 		t.Fatal("mismatch not reported in format")
+	}
+}
+
+// TestAblationPolishRows pins A5: tabu and anneal both lower GP's cut on
+// the ablation workload and keep it feasible.
+func TestAblationPolishRows(t *testing.T) {
+	rows, err := AblationPolish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []AblationRow{
+		{Config: "polish-none", Cut: 4637, Feasible: true, Cycles: 1},
+		{Config: "polish-tabu", Cut: 3968, Feasible: true, Cycles: 1},
+		{Config: "polish-anneal", Cut: 3943, Feasible: true, Cycles: 1},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		r.Time = 0
+		if r != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}
+
+// TestAblationPolishInvariants checks every A5 polisher on GP's output:
+// the assignment stays valid, goodness never gets worse, and the
+// reported feasibility matches a fresh evaluation.
+func TestAblationPolishInvariants(t *testing.T) {
+	for _, seed := range []int64{20, 21, 22} {
+		g, err := gen.RandomConnected(80, 200,
+			gen.WeightRange{Lo: 5, Hi: 50}, gen.WeightRange{Lo: 1, Hi: 10}, newRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 4
+		c := metrics.Constraints{
+			Bmax: 2 * g.TotalEdgeWeight() / int64(k),
+			Rmax: g.TotalNodeWeight()/3 + 20,
+		}
+		res, err := core.Partition(g, core.Options{K: k, Constraints: c, Seed: 7, MaxCycles: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := metrics.Goodness(g, res.Parts, k, c)
+		for _, p := range polishers {
+			parts := append([]int(nil), res.Parts...)
+			feasible := p.run(g, parts, k, c)
+			if err := metrics.Validate(g, parts, k); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, p.name, err)
+			}
+			if after := metrics.Goodness(g, parts, k, c); after > before {
+				t.Fatalf("seed %d %s worsened goodness: %v > %v", seed, p.name, after, before)
+			}
+			if feasible != metrics.Feasible(g, parts, k, c) {
+				t.Fatalf("seed %d %s: feasibility flag stale", seed, p.name)
+			}
+		}
 	}
 }

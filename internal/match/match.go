@@ -16,7 +16,7 @@ import (
 	"ppnpart/internal/graph"
 )
 
-// ErrUnknownHeuristic is returned (wrapped) by Compute when asked for a
+// ErrUnknownHeuristic is returned (wrapped) by ComputeWS when asked for a
 // heuristic outside the known set.
 var ErrUnknownHeuristic = errors.New("match: unknown heuristic")
 
@@ -179,19 +179,12 @@ func (h Heuristic) UsesRNG() bool {
 	}
 }
 
-// Compute runs the named heuristic. kClusters is only used by KMeans; a
-// value <= 0 defaults to 4 weight clusters. An unknown heuristic yields
-// an error wrapping ErrUnknownHeuristic.
-func Compute(h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return ComputeWS(ws, h, g, kClusters, rng)
-}
-
-// ComputeWS is Compute with every internal buffer (visit permutations,
-// candidate lists, the edge sort array, k-means scratch) drawn from ws.
-// The returned Matching itself is freshly allocated — it outlives the
-// call — but everything transient is pooled.
+// ComputeWS runs the named heuristic with every internal buffer (visit
+// permutations, candidate lists, the edge sort array, k-means scratch)
+// drawn from ws. kClusters is only used by KMeans; a value <= 0 defaults
+// to 4 weight clusters. An unknown heuristic yields an error wrapping
+// ErrUnknownHeuristic. The returned Matching itself is freshly allocated
+// — it outlives the call — but everything transient is pooled.
 func ComputeWS(ws *arena.Workspace, h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
 	switch h {
 	case HeuristicRandom:

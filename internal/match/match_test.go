@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 )
 
@@ -218,7 +219,7 @@ func TestComputeAndNames(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 20)
 	for _, h := range All() {
-		m, err := Compute(h, g, 0, rng)
+		m, err := ComputeWS(&arena.Workspace{}, h, g, 0, rng)
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
@@ -238,12 +239,12 @@ func TestComputeAndNames(t *testing.T) {
 	if Heuristic(99).Valid() {
 		t.Fatal("heuristic 99 should not be valid")
 	}
-	m, err := Compute(Heuristic(99), g, 0, rng)
+	m, err := ComputeWS(&arena.Workspace{}, Heuristic(99), g, 0, rng)
 	if !errors.Is(err, ErrUnknownHeuristic) {
-		t.Fatalf("Compute with unknown heuristic: err = %v, want ErrUnknownHeuristic", err)
+		t.Fatalf("ComputeWS with unknown heuristic: err = %v, want ErrUnknownHeuristic", err)
 	}
 	if m != nil {
-		t.Fatal("Compute with unknown heuristic returned a matching")
+		t.Fatal("ComputeWS with unknown heuristic returned a matching")
 	}
 }
 
@@ -252,7 +253,7 @@ func TestPropertyAllHeuristicsValidMaximal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 2+rng.Intn(40))
 		for _, h := range All() {
-			m, err := Compute(h, g, 3, rng)
+			m, err := ComputeWS(&arena.Workspace{}, h, g, 3, rng)
 			if err != nil || m.Validate(g) != nil || !isMaximal(g, m) {
 				return false
 			}
@@ -269,7 +270,7 @@ func TestPropertyMatchedWeightBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 2+rng.Intn(40))
 		for _, h := range All() {
-			m, err := Compute(h, g, 3, rng)
+			m, err := ComputeWS(&arena.Workspace{}, h, g, 3, rng)
 			if err != nil {
 				return false
 			}

@@ -303,12 +303,14 @@ func (s *State) Feasible() bool {
 	return s.bwExcess == 0 && s.resExcess == 0 && s.vecExcess == 0
 }
 
-// penaltyBase is the dominant infeasibility penalty: it exceeds the
-// largest possible objective (pairwise cut plus connectivity cost, the
-// latter at most HWT·(K−1)). Without hyperedges HWT is zero and the
-// expression reduces bit-for-bit to the historical EdgeWT+1.
-func (s *State) penaltyBase() float64 {
-	return float64(s.C.EdgeWT + s.C.HWT*int64(s.K-1) + 1)
+// Penalty is the dominant infeasibility penalty per unit of constraint
+// excess: it exceeds the largest possible objective (pairwise cut plus
+// connectivity cost, the latter at most HWT·(K−1)), so any infeasible
+// state scores worse than any feasible one. Without hyperedges HWT is
+// zero and the expression reduces bit-for-bit to the historical EdgeWT+1.
+// Every optimizer that prices moves in integers uses it.
+func (s *State) Penalty() int64 {
+	return s.C.EdgeWT + s.C.HWT*int64(s.K-1) + 1
 }
 
 // Goodness mirrors metrics.Goodness on the maintained state: the objective
@@ -322,7 +324,7 @@ func (s *State) Goodness() float64 {
 	if excess == 0 {
 		return float64(obj)
 	}
-	base := s.penaltyBase()
+	base := float64(s.Penalty())
 	return base + float64(excess)*base + float64(obj)
 }
 
@@ -331,7 +333,7 @@ func (s *State) Goodness() float64 {
 func (s *State) Score() float64 {
 	sc := s.Goodness()
 	if s.vecExcess > 0 {
-		sc += float64(s.vecExcess) * s.penaltyBase()
+		sc += float64(s.vecExcess) * float64(s.Penalty())
 	}
 	return sc
 }

@@ -27,11 +27,7 @@ type AnnealOptions struct {
 // worsening, geometric cooling. The best state seen is restored at the
 // end. The rng makes runs reproducible.
 func Anneal(g *graph.Graph, parts []int, k int, c metrics.Constraints, opts AnnealOptions, rng *rand.Rand) (Stats, bool) {
-	return AnnealCSR(g.ToCSR(), parts, k, c, opts, rng)
-}
-
-// AnnealCSR is Anneal on a prebuilt CSR snapshot.
-func AnnealCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, opts AnnealOptions, rng *rand.Rand) (Stats, bool) {
+	csr := g.ToCSR()
 	n := csr.NumNodes()
 	if opts.Iterations <= 0 {
 		opts.Iterations = 200 * n
@@ -42,18 +38,18 @@ func AnnealCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, opts A
 	if opts.Cooling <= 0 || opts.Cooling >= 1 {
 		opts.Cooling = 0.95
 	}
-	st := Stats{CutBefore: csrEdgeCut(csr, parts)}
-	if n == 0 || k < 2 {
-		st.CutAfter = st.CutBefore
-		return st, csrFeasible(csr, parts, k, c)
-	}
-	s, err := pstate.New(csr, parts, pstate.Config{K: k, Constraints: c})
+	cfg := pstate.Config{K: k, Constraints: c}
+	s, err := pstate.New(csr, parts, cfg)
 	if err != nil {
-		return st, false
+		return Stats{}, false
 	}
-	penalty := penaltyUnit(csr.EdgeWT)
+	st := Stats{CutBefore: s.Cut(), CutAfter: s.Cut()}
+	if n == 0 || k < 2 {
+		return st, s.Feasible()
+	}
+	penalty := s.Penalty()
 	bwEx, resEx, _ := s.Excess()
-	cur := objective(st.CutBefore, bwEx+resEx, penalty)
+	cur := s.Cut() + (bwEx+resEx)*penalty
 	best := cur
 	bestParts := append([]int(nil), parts...)
 	temp := opts.InitialTemp * float64(csr.EdgeWT+1)
@@ -90,6 +86,5 @@ func AnnealCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, opts A
 	}
 	copy(parts, bestParts)
 	st.Passes = 1
-	st.CutAfter = csrEdgeCut(csr, parts)
-	return st, csrFeasible(csr, parts, k, c)
+	return finish(csr, parts, cfg, st)
 }

@@ -158,29 +158,16 @@ func RebalanceResources(g *graph.Graph, parts []int, k int, rmax int64, maxPasse
 	}
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return RebalanceResourcesWS(ws, g.ToCSR(), parts, k, rmax, maxPasses)
+	return RebalanceResourcesWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, maxPasses)
 }
 
 // RebalanceResourcesWS is RebalanceResources on a prebuilt CSR snapshot
-// with the per-part totals and connectivity scratch drawn from ws.
-func RebalanceResourcesWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, rmax int64, maxPasses int) (int, bool) {
-	if rmax <= 0 {
-		return 0, true
-	}
-	lims := ws.Int64s.Get(k)
-	defer ws.Int64s.Put(lims)
-	for p := range lims {
-		lims[p] = rmax
-	}
-	return rebalanceLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// RebalanceResourcesCapsWS is RebalanceResourcesWS under heterogeneous
-// per-part bounds (c.RmaxFor): a part is overfull relative to its own
-// capacity, and destinations are sized by theirs. Parts with no active
-// bound are never overfull and accept any node. Returns (0, true) when no
-// part has an active bound.
-func RebalanceResourcesCapsWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) (int, bool) {
+// with the per-part totals and connectivity scratch drawn from ws, under
+// heterogeneous per-part bounds (c.RmaxFor): a part is overfull relative
+// to its own capacity, and destinations are sized by theirs. Parts with
+// no active bound are never overfull and accept any node. Returns
+// (0, true) when no part has an active bound.
+func RebalanceResourcesWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) (int, bool) {
 	lims := ws.Int64s.Get(k)
 	defer ws.Int64s.Put(lims)
 	active := false
@@ -193,12 +180,6 @@ func RebalanceResourcesCapsWS(ws *arena.Workspace, csr *graph.CSR, parts []int, 
 	if !active {
 		return 0, true
 	}
-	return rebalanceLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// rebalanceLims is the shared rebalance implementation; lims[p] bounds
-// part p (<= 0 = unbounded: never overfull, unlimited destination room).
-func rebalanceLims(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, lims []int64, maxPasses int) (int, bool) {
 	if maxPasses <= 0 {
 		maxPasses = 16
 	}

@@ -76,13 +76,6 @@ func batchBuckets(ws *arena.Workspace) *gainBuckets {
 	return gb
 }
 
-// BatchKWay is BatchKWayWS with a throwaway workspace and CSR snapshot.
-func BatchKWay(g *graph.Graph, parts []int, opts BatchOptions) BatchStats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BatchKWayWS(ws, g.ToCSR(), parts, opts)
-}
-
 // BatchKWayWS runs data-parallel batch k-way refinement on a prebuilt CSR
 // snapshot, mutating parts in place. Each round:
 //

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 	"ppnpart/internal/pstate"
@@ -33,7 +34,7 @@ func TestBatchKWayNeverWorsensAndStaysValid(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		parts := randomKWayStart(rng, n, k)
 		before := metrics.EdgeCut(g, parts)
-		st := BatchKWay(g, parts, BatchOptions{K: k})
+		st := BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, BatchOptions{K: k})
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
 			t.Fatalf("trial %d: batch pass worsened cut %d -> %d", trial, before, after)
@@ -59,7 +60,7 @@ func TestBatchKWayImprovesInterleavedClusters(t *testing.T) {
 		parts[i] = i % 2
 	}
 	before := metrics.EdgeCut(g, parts)
-	st := BatchKWay(g, parts, BatchOptions{K: 2, Record: true})
+	st := BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, BatchOptions{K: 2, Record: true})
 	after := metrics.EdgeCut(g, parts)
 	if after >= before {
 		t.Fatalf("batch pass did not improve interleaved clusters: %d -> %d", before, after)
@@ -94,7 +95,7 @@ func TestBatchKWayRespectsRmax(t *testing.T) {
 				rmax = r
 			}
 		}
-		BatchKWay(g, parts, BatchOptions{K: k, Constraints: metrics.Constraints{Rmax: rmax}})
+		BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, BatchOptions{K: k, Constraints: metrics.Constraints{Rmax: rmax}})
 		for p, r := range metrics.PartResources(g, parts, k) {
 			if r > rmax {
 				t.Fatalf("trial %d: part %d overflowed Rmax: %d > %d", trial, p, r, rmax)
@@ -128,7 +129,7 @@ func TestBatchKWayDeterministicAcrossWorkers(t *testing.T) {
 			parts := append([]int(nil), base...)
 			o := opts
 			o.Workers = workers
-			st := BatchKWay(g, parts, o)
+			st := BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, o)
 			if i == 0 {
 				refParts, refStats = parts, st
 				continue
@@ -166,7 +167,7 @@ func TestBatchKWayDifferentialStateMatchesMetrics(t *testing.T) {
 			cons = metrics.Constraints{Bmax: 1 + int64(rng.Intn(200)), Rmax: rmax}
 		}
 		hooks := 0
-		BatchKWay(g, parts, BatchOptions{
+		BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, BatchOptions{
 			K:           k,
 			Constraints: cons,
 			RoundHook: func(round int, st *pstate.State) {
@@ -220,7 +221,7 @@ func TestBatchKWayPreApplyPanicLeavesPartsUntouched(t *testing.T) {
 				t.Fatal("expected the PreApply panic to propagate")
 			}
 		}()
-		BatchKWay(g, parts, BatchOptions{K: 3, PreApply: func(round, batch int) {
+		BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, BatchOptions{K: 3, PreApply: func(round, batch int) {
 			panic("injected")
 		}})
 	}()
@@ -232,7 +233,7 @@ func TestBatchKWayPreApplyPanicLeavesPartsUntouched(t *testing.T) {
 func TestBatchKWayDegenerateInputs(t *testing.T) {
 	g := graph.New(1)
 	parts := []int{0}
-	if st := BatchKWay(g, parts, BatchOptions{K: 1}); st.Rounds != 0 {
+	if st := BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, BatchOptions{K: 1}); st.Rounds != 0 {
 		t.Fatalf("k=1 should be a no-op, got %+v", st)
 	}
 	g2 := twoClusters(4)
@@ -241,7 +242,7 @@ func TestBatchKWayDegenerateInputs(t *testing.T) {
 		parts2[i] = i % 2
 	}
 	// MaxRounds=1 must stop after one round regardless of remaining gain.
-	st := BatchKWay(g2, parts2, BatchOptions{K: 2, MaxRounds: 1})
+	st := BatchKWayWS(&arena.Workspace{}, g2.ToCSR(), parts2, BatchOptions{K: 2, MaxRounds: 1})
 	if st.Rounds > 1 {
 		t.Fatalf("MaxRounds=1 ran %d rounds", st.Rounds)
 	}
@@ -275,7 +276,7 @@ func FuzzBatchSelect(f *testing.F) {
 			parts := append([]int(nil), base...)
 			o := opts
 			o.Workers = workers
-			BatchKWay(g, parts, o)
+			BatchKWayWS(&arena.Workspace{}, g.ToCSR(), parts, o)
 			if i == 0 {
 				ref = parts
 				if metrics.EdgeCut(g, parts) > before {

@@ -81,17 +81,3 @@ func BenchmarkAnneal(b *testing.B) {
 		Anneal(g, parts, 4, c, AnnealOptions{Iterations: 5000}, rand.New(rand.NewSource(9)))
 	}
 }
-
-func BenchmarkKernighanLin(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	g := randomConnected(rng, 300) // KL is O(n^2) per pass
-	base := make([]int, 300)
-	for i := range base {
-		base[i] = i % 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		KernighanLin(g, parts, 2)
-	}
-}

@@ -19,6 +19,21 @@ type Stats struct {
 // Improved reports whether the refinement reduced the cut.
 func (s Stats) Improved() bool { return s.CutAfter < s.CutBefore }
 
+// csrEdgeCut is metrics.EdgeCut on a CSR snapshot.
+func csrEdgeCut(csr *graph.CSR, parts []int) int64 {
+	var cut int64
+	n := csr.NumNodes()
+	for u := 0; u < n; u++ {
+		adj, wts := csr.Row(graph.Node(u))
+		for i, v := range adj {
+			if graph.Node(u) < v && parts[u] != parts[v] {
+				cut += wts[i]
+			}
+		}
+	}
+	return cut
+}
+
 // FMBisect runs Fiduccia–Mattheyses passes on a 2-way partition
 // (parts[u] ∈ {0,1}), mutating parts in place. Each pass moves every node
 // at most once, always taking the highest-gain admissible move, allowing
@@ -29,12 +44,7 @@ func (s Stats) Improved() bool { return s.CutAfter < s.CutBefore }
 func FMBisect(g *graph.Graph, parts []int, maxResource int64, maxPasses int) Stats {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return FMBisectWS(ws, g.ToCSR(), parts, maxResource, maxPasses)
-}
-
-// FMBisectWS is FMBisect on a prebuilt CSR snapshot with the per-pass
-// gain and lock tables drawn from ws.
-func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource int64, maxPasses int) Stats {
+	csr := g.ToCSR()
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
@@ -168,37 +178,22 @@ func fmBisectPass(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource 
 func KWayFM(g *graph.Graph, parts []int, k int, maxResource int64, maxPasses int) Stats {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return KWayFMWS(ws, g.ToCSR(), parts, k, maxResource, maxPasses)
+	return KWayFMWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: maxResource}, maxPasses)
 }
 
 // KWayFMWS is KWayFM on a prebuilt CSR snapshot with the per-part totals
-// and connectivity scratch drawn from ws. The cut is tracked
-// incrementally from the applied gains, so the only full adjacency sweep
-// is the initial cut count.
-func KWayFMWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, maxResource int64, maxPasses int) Stats {
-	lims := ws.Int64s.Get(k)
-	defer ws.Int64s.Put(lims)
-	for p := range lims {
-		lims[p] = maxResource
-	}
-	return kwayFMLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// KWayFMCapsWS is KWayFMWS under heterogeneous per-part resource bounds:
-// the destination check uses c.RmaxFor(to), so a big part can absorb
-// nodes a small one cannot. With a nil RmaxPart it is exactly KWayFMWS.
-func KWayFMCapsWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) Stats {
+// and connectivity scratch drawn from ws, under heterogeneous per-part
+// resource bounds: the destination check uses c.RmaxFor(to), so a big
+// part can absorb nodes a small one cannot (<= 0 = unbounded). Only the
+// resource bounds of c are read. The cut is tracked incrementally from
+// the applied gains, so the only full adjacency sweep is the initial cut
+// count.
+func KWayFMWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) Stats {
 	lims := ws.Int64s.Get(k)
 	defer ws.Int64s.Put(lims)
 	for p := range lims {
 		lims[p] = c.RmaxFor(p)
 	}
-	return kwayFMLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// kwayFMLims is the shared k-way FM implementation; lims[p] bounds part
-// p's resource total (<= 0 = unbounded).
-func kwayFMLims(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, lims []int64, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}

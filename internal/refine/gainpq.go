@@ -1,10 +1,11 @@
 // Package refine implements the local-search refinement algorithms of the
 // multilevel scheme: the Fiduccia–Mattheyses (FM) pass for bisections, a
-// greedy k-way FM variant, the classic Kernighan–Lin pair-swap algorithm
-// (for comparison), the bandwidth-repair pass that drives pairwise traffic
-// under Bmax, and the resource-rebalancing pass that drives per-part
-// totals under Rmax. All refiners mutate an assignment vector in place and
-// report what they changed.
+// greedy k-way FM variant and its data-parallel batch form, the
+// bandwidth-repair pass that drives pairwise traffic under Bmax, the
+// resource-rebalancing passes that drive per-part totals under Rmax and
+// the vector bounds, and logic replication. Tabu Search and simulated
+// annealing are kept for the polish ablation only. All refiners mutate an
+// assignment vector in place and report what they changed.
 package refine
 
 import "ppnpart/internal/graph"

@@ -13,9 +13,11 @@ import (
 // non-greedy hill-climber ("will sometimes accept a solution that is
 // worse than the existing solution ... to avoid getting trapped in local
 // minima"). Both optimize the same constrained objective as GP's
-// goodness function: feasibility first, cut second. Both read the graph
+// goodness function: feasibility first, cut second, with constraint
+// excess priced by the partition state's own Penalty. Both read the graph
 // through the shared incremental partition state (internal/pstate), so a
 // candidate move costs O(deg + K) rather than a fresh matrix rebuild.
+// GP itself never runs them; the A5 ablation applies them to GP's result.
 
 // TabuOptions configures TabuSearch.
 type TabuOptions struct {
@@ -29,19 +31,6 @@ type TabuOptions struct {
 	Patience int
 }
 
-// penaltyUnit returns the weight that makes one unit of constraint excess
-// dominate any possible cut difference.
-func penaltyUnit(totalEdgeWeight int64) int64 {
-	return totalEdgeWeight + 1
-}
-
-// objective scores a state from its cut and total constraint excess:
-// lower is better, and any infeasible state scores worse than any
-// feasible one (the integer analogue of metrics.Goodness).
-func objective(cut, excess, penalty int64) int64 {
-	return cut + excess*penalty
-}
-
 // TabuSearch refines a k-way partition under the constraints: each
 // iteration applies the best non-tabu single-node move (by objective
 // delta, even if worsening), marks the node tabu for Tenure iterations
@@ -49,11 +38,7 @@ func objective(cut, excess, penalty int64) int64 {
 // allowed), and finally restores the best state seen. Returns Stats on
 // the cut plus whether the final state is feasible.
 func TabuSearch(g *graph.Graph, parts []int, k int, c metrics.Constraints, opts TabuOptions) (Stats, bool) {
-	return TabuSearchCSR(g.ToCSR(), parts, k, c, opts)
-}
-
-// TabuSearchCSR is TabuSearch on a prebuilt CSR snapshot.
-func TabuSearchCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, opts TabuOptions) (Stats, bool) {
+	csr := g.ToCSR()
 	n := csr.NumNodes()
 	if opts.Iterations <= 0 {
 		opts.Iterations = 100 * n
@@ -67,14 +52,15 @@ func TabuSearchCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, op
 	if opts.Patience <= 0 {
 		opts.Patience = 4 * opts.Tenure
 	}
-	s, err := pstate.New(csr, parts, pstate.Config{K: k, Constraints: c})
+	cfg := pstate.Config{K: k, Constraints: c}
+	s, err := pstate.New(csr, parts, cfg)
 	if err != nil {
 		return Stats{}, false
 	}
 	st := Stats{CutBefore: s.Cut()}
-	penalty := penaltyUnit(csr.EdgeWT)
+	penalty := s.Penalty()
 	bwEx, resEx, _ := s.Excess()
-	cur := objective(s.Cut(), bwEx+resEx, penalty)
+	cur := s.Cut() + (bwEx+resEx)*penalty
 	best := cur
 	bestParts := append([]int(nil), parts...)
 	tabuUntil := make([]int, n)
@@ -123,33 +109,16 @@ func TabuSearchCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, op
 	}
 	copy(parts, bestParts)
 	st.Passes = 1
-	// The best state's cut: rebuild the maintained state at bestParts by
-	// undoing past the best point is not tracked; recompute from CSR.
-	st.CutAfter = csrEdgeCut(csr, parts)
-	return st, csrFeasible(csr, parts, k, c)
+	return finish(csr, parts, cfg, st)
 }
 
-// csrEdgeCut is metrics.EdgeCut on a CSR snapshot.
-func csrEdgeCut(csr *graph.CSR, parts []int) int64 {
-	var cut int64
-	n := csr.NumNodes()
-	for u := 0; u < n; u++ {
-		adj, wts := csr.Row(graph.Node(u))
-		for i, v := range adj {
-			if graph.Node(u) < v && parts[u] != parts[v] {
-				cut += wts[i]
-			}
-		}
-	}
-	return cut
-}
-
-// csrFeasible checks both scalar constraints on a CSR snapshot in one
-// adjacency sweep.
-func csrFeasible(csr *graph.CSR, parts []int, k int, c metrics.Constraints) bool {
-	s, err := pstate.New(csr, parts, pstate.Config{K: k, Constraints: c})
+// finish reads the polished assignment's cut and feasibility from a
+// fresh state at the restored best parts.
+func finish(csr *graph.CSR, parts []int, cfg pstate.Config, st Stats) (Stats, bool) {
+	s, err := pstate.New(csr, parts, cfg)
 	if err != nil {
-		return false
+		return st, false
 	}
-	return s.Feasible()
+	st.CutAfter = s.Cut()
+	return st, s.Feasible()
 }

@@ -144,16 +144,6 @@ func TestAnnealDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestObjectiveOrdering(t *testing.T) {
-	// Any state with excess must score worse than any state without.
-	p := int64(1001) // penalty for a graph with total edge weight 1000
-	feasibleHighCut := objective(1000, 0, p)
-	infeasibleLowCut := objective(0, 1, p)
-	if infeasibleLowCut <= feasibleHighCut {
-		t.Fatal("penalty too weak: infeasible state preferred")
-	}
-}
-
 func TestPropertyTabuAndAnnealPreserveValidity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -6,23 +6,12 @@ import (
 	"ppnpart/internal/metrics"
 )
 
-// RebalanceVector moves nodes out of partitions that overflow any
+// RebalanceVectorWS moves nodes out of partitions that overflow any
 // resource kind into partitions with room in every kind, preferring moves
 // with the least cut increase — the multi-resource analogue of
-// RebalanceResources. Returns the number of moves and whether every
-// partition now fits every kind.
-func RebalanceVector(g *graph.Graph, vectors [][]int64, parts []int, k int,
-	vc metrics.VectorConstraints, maxPasses int) (int, bool) {
-	if !vc.Active() {
-		return 0, true
-	}
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RebalanceVectorWS(ws, g.ToCSR(), vectors, parts, k, vc, maxPasses)
-}
-
-// RebalanceVectorWS is RebalanceVector on a prebuilt CSR snapshot with all
-// scratch drawn from ws.
+// RebalanceResourcesWS — on a prebuilt CSR snapshot with all scratch
+// drawn from ws. Returns the number of moves and whether every partition
+// now fits every kind.
 func RebalanceVectorWS(ws *arena.Workspace, csr *graph.CSR, vectors [][]int64, parts []int, k int,
 	vc metrics.VectorConstraints, maxPasses int) (int, bool) {
 	if !vc.Active() {
