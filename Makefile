@@ -5,19 +5,22 @@ GO ?= go
 
 .PHONY: all build test vet staticcheck race cover bench bench-json \
 	bench-baseline figures report examples clean check fmt-check \
-	fuzz-smoke chaos-smoke determinism-stress perfbench-check serve
+	fuzz-smoke chaos-smoke determinism-stress perfbench-check \
+	perfbench-smoke serve
 
 all: build vet test
 
 # The CI gate: formatting, vet, staticcheck (when installed),
 # race-enabled tests, a short fuzz smoke pass over every fuzz target, the
-# determinism stress runs, and the perfbench module's build and tests.
+# determinism stress runs, the perfbench module's build and tests, and a
+# traced perfbench smoke run.
 check: fmt-check vet staticcheck
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) determinism-stress
 	$(MAKE) perfbench-check
+	$(MAKE) perfbench-smoke
 
 # perfbench is a separate Go module (it replaces ppnpart with ../), so the
 # root `go build ./...` never compiles it. Building, vetting and testing it
@@ -25,6 +28,14 @@ check: fmt-check vet staticcheck
 # benchmark run does.
 perfbench-check:
 	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
+# One-second traced benchmark runs. A traced run replays cycle 0's
+# coarsening through the Graph-form match and coarsen calls and counts a
+# failed operation when the replay's level count differs from the
+# engine's; run.sh exits non-zero on any failed operation.
+perfbench-smoke:
+	bash perfbench/run.sh --workload gp-batch-100k --seed 1 --seconds 1 --trace 1
+	bash perfbench/run.sh --workload ppn-fanout-replicate --seed 1 --seconds 1 --trace 1
 
 # staticcheck is optional locally (CI installs it): skip with a notice
 # when the binary is absent rather than failing the gate.

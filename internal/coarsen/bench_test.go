@@ -4,15 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/match"
 )
 
 func BenchmarkBuildHierarchyBestOfThree(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 10000)
+	c := randomConnected(rng, 10000).ToCSR()
+	ws := &arena.Workspace{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, Options{TargetSize: 100}, rand.New(rand.NewSource(2))); err != nil {
+		if _, err := BuildWS(ws, c, Options{TargetSize: 100}, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -20,11 +22,12 @@ func BenchmarkBuildHierarchyBestOfThree(b *testing.B) {
 
 func BenchmarkBuildHierarchyHEMOnly(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 10000)
+	c := randomConnected(rng, 10000).ToCSR()
+	ws := &arena.Workspace{}
 	opts := Options{TargetSize: 100, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, opts, rand.New(rand.NewSource(2))); err != nil {
+		if _, err := BuildWS(ws, c, opts, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,11 +35,12 @@ func BenchmarkBuildHierarchyHEMOnly(b *testing.B) {
 
 func BenchmarkContract(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 10000)
-	m := match.HeavyEdge(g)
+	c := randomConnected(rng, 10000).ToCSR()
+	ws := &arena.Workspace{}
+	m, _ := match.ComputeWS(ws, match.HeuristicHeavyEdge, c, 0, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Contract(g, m); err != nil {
+		if _, err := ContractWS(ws, c, m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,11 +17,20 @@ import (
 	"ppnpart/internal/pool"
 )
 
-// Level is one contraction step: the coarse graph plus the map from fine
+// Level is Contract's result: the coarse graph plus the map from fine
 // nodes to coarse nodes.
 type Level struct {
 	// Coarse is the contracted graph.
 	Coarse *graph.Graph
+	// FineToCoarse maps each fine node to its coarse image.
+	FineToCoarse []graph.Node
+}
+
+// CSRLevel is one contraction step of a Hierarchy: the coarse CSR plus
+// the map from fine nodes to coarse nodes. Each level owns its arrays.
+type CSRLevel struct {
+	// Coarse is the contracted graph. It carries no hyperedges.
+	Coarse *graph.CSR
 	// FineToCoarse maps each fine node to its coarse image.
 	FineToCoarse []graph.Node
 	// Heuristic records which matching produced this level.
@@ -44,20 +53,33 @@ type MatchCandidate struct {
 // Contract applies a matching to g: every matched pair becomes one coarse
 // node with summed weight; unmatched nodes carry over. Edges between
 // coarse nodes fold duplicates by summing weights; intra-pair edges
-// disappear (their weight is "hidden" inside the coarse node).
+// disappear (their weight is "hidden" inside the coarse node). It is
+// ContractWS on g's CSR snapshot, converted back to a Graph.
 func Contract(g *graph.Graph, m match.Matching) (*Level, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return ContractWS(ws, g, m)
+	lvl, err := ContractWS(ws, g.ToCSR(), m)
+	if err != nil {
+		return nil, err
+	}
+	return &Level{Coarse: lvl.Coarse.ToGraph(), FineToCoarse: lvl.FineToCoarse}, nil
 }
 
-// ContractWS is Contract drawing its degree-bound scratch from ws and
-// building the coarse graph through graph.NewBuilderCap, so adjacency
-// rows are carved from one bulk allocation instead of grown per edge.
-// The Level itself (coarse graph, fine→coarse map) outlives the call
-// and stays heap-allocated.
-func ContractWS(ws *arena.Workspace, g *graph.Graph, m match.Matching) (*Level, error) {
-	n := g.NumNodes()
+// ContractWS contracts the fine CSR c along m into a new coarse CSR
+// level, drawing its staging arrays from ws. Each coarse row lists its
+// neighbors in first-encounter order of the sweep "fine u ascending, row
+// order, u < v": the order sequential Graph.AddEdge calls would give. The
+// RNG-driven matchings draw from neighbor lists, so this order is part of
+// the determinism contract.
+//
+// The rows are built in two passes over the fine edges. The first counts
+// each coarse row's inter-pair half-edges; the second writes every
+// crossing edge into both coarse rows, duplicates included. A marker
+// array indexed by coarse node then folds each row's duplicates into
+// their first occurrence, summing weights, and the folded rows are
+// copied into arrays sized exactly for the level.
+func ContractWS(ws *arena.Workspace, c *graph.CSR, m match.Matching) (*CSRLevel, error) {
+	n := c.NumNodes()
 	if len(m) != n {
 		return nil, fmt.Errorf("coarsen: matching length %d != nodes %d", len(m), n)
 	}
@@ -83,50 +105,85 @@ func ContractWS(ws *arena.Workspace, g *graph.Graph, m match.Matching) (*Level, 
 		next++
 	}
 	nc := int(next)
-	w := make([]int64, nc)
-	// A coarse node's degree is bounded by the sum of its fine nodes'
-	// degrees (duplicates fold, intra-pair edges vanish — both only
-	// shrink the row).
-	degCap := ws.Int32s.Get(nc)
-	for u := 0; u < n; u++ {
-		c := fineToCoarse[u]
-		w[c] += g.NodeWeight(graph.Node(u))
-		degCap[c] += int32(g.Degree(graph.Node(u)))
-	}
-	// The Builder folds duplicate coarse edges in O(1) amortized (AddEdge's
-	// linear dup-scan is quadratic on dense coarse nodes) while keeping the
-	// exact first-encounter adjacency order sequential AddEdge produces.
-	b := graph.NewBuilderCap(w, degCap)
+	coarse := &graph.CSR{NodeW: make([]int64, nc)}
+	// cursor[cu+1] counts row cu's half-edges; the prefix sum turns
+	// cursor[cu] into the row's start, and the fill advances it to the
+	// row's end.
+	cursor := ws.Int32s.Get(nc + 1)
 	for u := 0; u < n; u++ {
 		cu := fineToCoarse[u]
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) >= h.To {
-				continue
-			}
-			cv := fineToCoarse[h.To]
-			if cu == cv {
-				continue // intra-pair edge vanishes
-			}
-			if err := b.AddEdge(cu, cv, h.Weight); err != nil {
-				return nil, fmt.Errorf("coarsen: %v", err)
+		coarse.NodeW[cu] += c.NodeW[u]
+		coarse.NodeWT += c.NodeW[u]
+		nbrs, _ := c.Row(graph.Node(u))
+		for _, v := range nbrs {
+			if fineToCoarse[v] != cu {
+				cursor[cu+1]++
 			}
 		}
 	}
-	ws.Int32s.Put(degCap)
-	return &Level{Coarse: b.Graph(), FineToCoarse: fineToCoarse}, nil
+	for cu := 0; cu < nc; cu++ {
+		cursor[cu+1] += cursor[cu]
+	}
+	staged := int(cursor[nc])
+	adj := ws.Nodes.Cap(staged)[:staged]
+	adjW := ws.Int64s.Cap(staged)[:staged]
+	for u := 0; u < n; u++ {
+		cu := fineToCoarse[u]
+		nbrs, wts := c.Row(graph.Node(u))
+		for i, v := range nbrs {
+			cv := fineToCoarse[v]
+			if graph.Node(u) >= v || cu == cv {
+				continue // each edge once; intra-pair edges vanish
+			}
+			w := wts[i]
+			adj[cursor[cu]], adjW[cursor[cu]] = cv, w
+			cursor[cu]++
+			adj[cursor[cv]], adjW[cursor[cv]] = cu, w
+			cursor[cv]++
+			coarse.EdgeWT += w
+		}
+	}
+	// Fold in place: mark[d] is d's output slot, valid while it lies at
+	// or after the current row's output start. Output never overtakes
+	// input, so the compaction can reuse the staging arrays.
+	mark := ws.Int32s.Cap(nc)[:nc]
+	for i := range mark {
+		mark[i] = -1
+	}
+	coarse.XAdj = make([]int32, nc+1)
+	out, lo := int32(0), int32(0)
+	for cu := 0; cu < nc; cu++ {
+		start, hi := out, cursor[cu]
+		coarse.XAdj[cu] = start
+		for i := lo; i < hi; i++ {
+			d := adj[i]
+			if s := mark[d]; s >= start {
+				adjW[s] += adjW[i]
+				continue
+			}
+			mark[d] = out
+			adj[out], adjW[out] = d, adjW[i]
+			out++
+		}
+		lo = hi
+	}
+	coarse.XAdj[nc] = out
+	coarse.Adj = append([]graph.Node(nil), adj[:out]...)
+	coarse.AdjW = append([]int64(nil), adjW[:out]...)
+	ws.Int32s.Put(cursor)
+	ws.Int32s.Put(mark)
+	ws.Nodes.Put(adj)
+	ws.Int64s.Put(adjW)
+	return &CSRLevel{Coarse: coarse, FineToCoarse: fineToCoarse}, nil
 }
 
 // ProjectUp lifts a partition of the coarse graph to the fine graph: each
 // fine node inherits the part of its coarse image. This is the projection
 // step of un-coarsening.
-func (l *Level) ProjectUp(coarseParts []int) ([]int, error) {
-	if len(coarseParts) != l.Coarse.NumNodes() {
-		return nil, fmt.Errorf("coarsen: projection input length %d != coarse nodes %d",
-			len(coarseParts), l.Coarse.NumNodes())
-	}
+func (l *CSRLevel) ProjectUp(coarseParts []int) ([]int, error) {
 	fine := make([]int, len(l.FineToCoarse))
-	for u, c := range l.FineToCoarse {
-		fine[u] = coarseParts[c]
+	if err := l.ProjectUpInto(coarseParts, fine); err != nil {
+		return nil, err
 	}
 	return fine, nil
 }
@@ -134,7 +191,7 @@ func (l *Level) ProjectUp(coarseParts []int) ([]int, error) {
 // ProjectUpInto is ProjectUp writing into a caller-provided slice of
 // length len(FineToCoarse), so the uncoarsening loop can recycle its
 // per-level assignment buffers instead of allocating one per level.
-func (l *Level) ProjectUpInto(coarseParts, fine []int) error {
+func (l *CSRLevel) ProjectUpInto(coarseParts, fine []int) error {
 	if len(coarseParts) != l.Coarse.NumNodes() {
 		return fmt.Errorf("coarsen: projection input length %d != coarse nodes %d",
 			len(coarseParts), l.Coarse.NumNodes())
@@ -194,37 +251,28 @@ func (o Options) withDefaults() Options {
 // Hierarchy is a full coarsening stack. Levels[0] contracts the original
 // graph; Levels[len-1].Coarse is the coarsest graph.
 type Hierarchy struct {
-	// Original is the input graph.
-	Original *graph.Graph
+	// Original is the input graph, level 0.
+	Original *graph.CSR
 	// Levels are the contraction steps, finest first.
-	Levels []*Level
+	Levels []*CSRLevel
 }
 
 // Coarsest returns the smallest graph of the hierarchy (the original graph
 // if no contraction happened).
-func (h *Hierarchy) Coarsest() *graph.Graph {
-	if len(h.Levels) == 0 {
-		return h.Original
-	}
-	return h.Levels[len(h.Levels)-1].Coarse
+func (h *Hierarchy) Coarsest() *graph.CSR {
+	return h.At(len(h.Levels))
 }
 
 // Depth returns the number of contraction levels.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 
-// GraphAt returns the graph at a given level: 0 is the original,
-// Depth() is the coarsest.
-func (h *Hierarchy) GraphAt(level int) *graph.Graph {
+// At returns the graph at a given level: 0 is the original, Depth() is
+// the coarsest.
+func (h *Hierarchy) At(level int) *graph.CSR {
 	if level == 0 {
 		return h.Original
 	}
 	return h.Levels[level-1].Coarse
-}
-
-// ProjectToFinest lifts a partition of the coarsest graph all the way to
-// the original graph.
-func (h *Hierarchy) ProjectToFinest(coarseParts []int) ([]int, error) {
-	return h.ProjectTo(coarseParts, len(h.Levels), 0)
 }
 
 // ProjectTo lifts a partition at fromLevel (Depth() = coarsest, 0 =
@@ -263,7 +311,7 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 // waits) draws scratch from ws itself, and each RNG-free heuristic uses
 // a persistent child workspace so repeated levels and cycles reuse the
 // same buffers.
-func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand, record bool) (match.Matching, match.Heuristic, []MatchCandidate) {
+func bestMatchingScoredWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand, record bool) (match.Matching, match.Heuristic, []MatchCandidate) {
 	opts = opts.withDefaults()
 	results := make([]match.Matching, len(opts.Heuristics))
 	var rngChain []int // indexes of RNG-consuming heuristics, in order
@@ -306,7 +354,7 @@ func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng
 		if m == nil {
 			continue
 		}
-		w := m.MatchedWeight(g)
+		w := m.MatchedWeightCSR(g)
 		p := m.Pairs()
 		if record {
 			cands = append(cands, MatchCandidate{Heuristic: opts.Heuristics[i], MatchedWeight: w, Pairs: p})
@@ -318,17 +366,11 @@ func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng
 	return bestM, bestH, cands
 }
 
-// Build constructs a hierarchy by repeated best-of-three contraction until
-// the coarse graph reaches opts.TargetSize nodes or contraction stalls.
-func Build(g *graph.Graph, opts Options, rng *rand.Rand) (*Hierarchy, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BuildWS(ws, g, opts, rng)
-}
-
-// BuildWS is Build with all matching and contraction scratch drawn from
-// ws; the Hierarchy itself outlives the call and is heap-allocated.
-func BuildWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (*Hierarchy, error) {
+// BuildWS constructs a hierarchy over g by repeated best-of-three
+// contraction until the coarse graph reaches opts.TargetSize nodes or
+// contraction stalls. Matching and contraction scratch is drawn from ws;
+// the Hierarchy itself outlives the call and is heap-allocated.
+func BuildWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (*Hierarchy, error) {
 	opts = opts.withDefaults()
 	h := &Hierarchy{Original: g}
 	cur := g

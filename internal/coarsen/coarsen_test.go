@@ -37,6 +37,11 @@ func randomConnected(rng *rand.Rand, n int) *graph.Graph {
 	return g
 }
 
+// build is BuildWS on g's CSR snapshot with a fresh workspace.
+func build(g *graph.Graph, opts Options, rng *rand.Rand) (*Hierarchy, error) {
+	return BuildWS(&arena.Workspace{}, g.ToCSR(), opts, rng)
+}
+
 func TestContractPair(t *testing.T) {
 	// Triangle with weights; contract {0,1}.
 	g := graph.NewWithWeights([]int64{10, 20, 30})
@@ -76,17 +81,17 @@ func TestContractPair(t *testing.T) {
 
 func TestContractPreservesNodeWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 40)
-	m := match.Random(g, rng)
-	lvl, err := Contract(g, m)
+	c := randomConnected(rng, 40).ToCSR()
+	m, _ := match.ComputeWS(&arena.Workspace{}, match.HeuristicRandom, c, 0, rng)
+	lvl, err := ContractWS(&arena.Workspace{}, c, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lvl.Coarse.TotalNodeWeight() != g.TotalNodeWeight() {
+	if lvl.Coarse.NodeWT != c.NodeWT {
 		t.Fatal("contraction changed total node weight")
 	}
 	// Hidden weight = matched weight; exposed = total - hidden.
-	if lvl.Coarse.TotalEdgeWeight() != g.TotalEdgeWeight()-m.MatchedWeight(g) {
+	if lvl.Coarse.EdgeWT != c.EdgeWT-m.MatchedWeightCSR(c) {
 		t.Fatal("contraction edge weight accounting wrong")
 	}
 }
@@ -101,6 +106,12 @@ func TestContractErrors(t *testing.T) {
 	if _, err := Contract(g, bad); err == nil {
 		t.Fatal("asymmetric matching accepted")
 	}
+	for _, partner := range []graph.Node{7, -5} {
+		bad[0] = partner // out of range
+		if _, err := ContractWS(&arena.Workspace{}, g.ToCSR(), bad); err == nil {
+			t.Fatalf("out-of-range partner %d accepted", partner)
+		}
+	}
 }
 
 func TestProjectUp(t *testing.T) {
@@ -108,7 +119,7 @@ func TestProjectUp(t *testing.T) {
 	m := match.NewMatching(4)
 	m[0], m[1] = 1, 0
 	m[2], m[3] = 3, 2
-	lvl, err := Contract(g, m)
+	lvl, err := ContractWS(&arena.Workspace{}, g.ToCSR(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +138,7 @@ func TestProjectUp(t *testing.T) {
 func TestBuildHierarchyReachesTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 300)
-	h, err := Build(g, Options{TargetSize: 50}, rng)
+	h, err := build(g, Options{TargetSize: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +151,10 @@ func TestBuildHierarchyReachesTarget(t *testing.T) {
 	}
 	// Graph weights preserved at every level.
 	for i := 0; i <= h.Depth(); i++ {
-		if h.GraphAt(i).TotalNodeWeight() != g.TotalNodeWeight() {
+		if h.At(i).NodeWT != g.TotalNodeWeight() {
 			t.Fatalf("level %d lost node weight", i)
 		}
-		if err := h.GraphAt(i).Validate(); err != nil {
+		if err := h.At(i).ToGraph().Validate(); err != nil {
 			t.Fatalf("level %d invalid: %v", i, err)
 		}
 	}
@@ -152,14 +163,14 @@ func TestBuildHierarchyReachesTarget(t *testing.T) {
 func TestBuildNoContractionNeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := pathGraph(5)
-	h, err := Build(g, Options{TargetSize: 100}, rng)
+	h, err := build(g, Options{TargetSize: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Depth() != 0 {
 		t.Fatalf("depth = %d, want 0 (already small)", h.Depth())
 	}
-	if h.Coarsest() != g {
+	if h.Coarsest() != h.Original {
 		t.Fatal("coarsest of trivial hierarchy should be the original")
 	}
 }
@@ -167,7 +178,7 @@ func TestBuildNoContractionNeeded(t *testing.T) {
 func TestBuildEdgelessGraphStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.New(500) // no edges: nothing contractible
-	h, err := Build(g, Options{TargetSize: 10}, rng)
+	h, err := build(g, Options{TargetSize: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +190,7 @@ func TestBuildEdgelessGraphStops(t *testing.T) {
 func TestProjectToFinestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnected(rng, 200)
-	h, err := Build(g, Options{TargetSize: 20}, rng)
+	h, err := build(g, Options{TargetSize: 20}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +199,7 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 	for i := range coarseParts {
 		coarseParts[i] = i % 4
 	}
-	fine, err := h.ProjectToFinest(coarseParts)
+	fine, err := h.ProjectTo(coarseParts, h.Depth(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +209,14 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 	// Cut of the projected partition equals the cut on the coarse graph:
 	// contraction only hides intra-pair edges, which are never cut when
 	// the pair lands in one part.
-	coarseCut := metrics.EdgeCut(h.Coarsest(), coarseParts)
+	coarsest := h.Coarsest().ToGraph()
+	coarseCut := metrics.EdgeCut(coarsest, coarseParts)
 	fineCut := metrics.EdgeCut(g, fine)
 	if coarseCut != fineCut {
 		t.Fatalf("coarse cut %d != projected fine cut %d", coarseCut, fineCut)
 	}
 	// Resources also match.
-	cr := metrics.MaxResource(h.Coarsest(), coarseParts, 4)
+	cr := metrics.MaxResource(coarsest, coarseParts, 4)
 	fr := metrics.MaxResource(g, fine, 4)
 	if cr != fr {
 		t.Fatalf("coarse maxRes %d != fine maxRes %d", cr, fr)
@@ -214,7 +226,7 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 func TestProjectToErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomConnected(rng, 100)
-	h, err := Build(g, Options{TargetSize: 10}, rng)
+	h, err := build(g, Options{TargetSize: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +238,7 @@ func TestProjectToErrors(t *testing.T) {
 func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 60)
-	m, h, _ := bestMatchingScoredWS(&arena.Workspace{}, g, Options{}, rng, false)
+	m, h, _ := bestMatchingScoredWS(&arena.Workspace{}, g.ToCSR(), Options{}, rng, false)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +253,7 @@ func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 func TestBuildRestrictedHeuristics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(rng, 150)
-	h, err := Build(g, Options{TargetSize: 30, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}, rng)
+	h, err := build(g, Options{TargetSize: 30, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,19 +268,19 @@ func TestPropertyHierarchyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 30+rng.Intn(120))
-		h, err := Build(g, Options{TargetSize: 10 + rng.Intn(30)}, rng)
+		h, err := build(g, Options{TargetSize: 10 + rng.Intn(30)}, rng)
 		if err != nil {
 			return false
 		}
 		for i := 0; i <= h.Depth(); i++ {
-			lg := h.GraphAt(i)
-			if lg.Validate() != nil {
+			lg := h.At(i)
+			if lg.ToGraph().Validate() != nil {
 				return false
 			}
-			if lg.TotalNodeWeight() != g.TotalNodeWeight() {
+			if lg.NodeWT != g.TotalNodeWeight() {
 				return false
 			}
-			if i > 0 && lg.NumNodes() >= h.GraphAt(i-1).NumNodes() {
+			if i > 0 && lg.NumNodes() >= h.At(i-1).NumNodes() {
 				return false // every level must strictly shrink
 			}
 		}
@@ -283,7 +295,7 @@ func TestPropertyProjectionPreservesMetrics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 40+rng.Intn(80))
-		h, err := Build(g, Options{TargetSize: 12}, rng)
+		h, err := build(g, Options{TargetSize: 12}, rng)
 		if err != nil {
 			return false
 		}
@@ -293,13 +305,14 @@ func TestPropertyProjectionPreservesMetrics(t *testing.T) {
 		for i := range parts {
 			parts[i] = rng.Intn(k)
 		}
-		fine, err := h.ProjectToFinest(parts)
+		fine, err := h.ProjectTo(parts, h.Depth(), 0)
 		if err != nil {
 			return false
 		}
-		return metrics.EdgeCut(h.Coarsest(), parts) == metrics.EdgeCut(g, fine) &&
-			metrics.MaxResource(h.Coarsest(), parts, k) == metrics.MaxResource(g, fine, k) &&
-			metrics.MaxLocalBandwidth(h.Coarsest(), parts, k) == metrics.MaxLocalBandwidth(g, fine, k)
+		coarsest := h.Coarsest().ToGraph()
+		return metrics.EdgeCut(coarsest, parts) == metrics.EdgeCut(g, fine) &&
+			metrics.MaxResource(coarsest, parts, k) == metrics.MaxResource(g, fine, k) &&
+			metrics.MaxLocalBandwidth(coarsest, parts, k) == metrics.MaxLocalBandwidth(g, fine, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

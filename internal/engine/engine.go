@@ -260,15 +260,13 @@ func (s *Solver) runStage(cy *Cycle, p Phase) error {
 var errStopUncoarsen = errors.New("engine: uncoarsening stopped")
 
 // Cycle is the mutable state of one GP cycle, threaded through the
-// stages. Stages read the configuration and graph, and advance Hier,
-// Level, CSR and Parts.
+// stages. Stages read the configuration, and advance Hier, Level, CSR
+// and Parts.
 type Cycle struct {
 	// Ctx is the solve context; stages may poll it at natural boundaries.
 	Ctx context.Context
 	// Cfg is the effective (defaulted) configuration.
 	Cfg *Config
-	// Graph is the finest (original) graph.
-	Graph *graph.Graph
 	// Index is the cycle number; it seeds the cycle's RNG stream.
 	Index int
 	// RNG is the cycle's deterministic random stream.
@@ -280,7 +278,10 @@ type Cycle struct {
 	Hier *coarsen.Hierarchy
 	// Level is the current hierarchy level (Depth = coarsest, 0 = finest).
 	Level int
-	// CSR is the snapshot of the current level's graph.
+	// CSR is the current level's graph. A cycle starts on the finest
+	// graph, which every cycle of the solve shares read-only; PhaseCoarsen
+	// builds the hierarchy over it and later phases move CSR level by
+	// level through the hierarchy.
 	CSR *graph.CSR
 	// Parts is the current level's assignment.
 	Parts []int
@@ -421,8 +422,9 @@ type candidate struct {
 func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome {
 	cfg := &s.cfg
 	tr.begin(cfg)
-	// One finest-level CSR snapshot serves every candidate evaluation;
-	// cycles only read it, so sharing across goroutines is safe.
+	// One finest-level CSR snapshot is level 0 of every cycle's hierarchy
+	// and serves every candidate evaluation; cycles only read it, so
+	// sharing across goroutines is safe.
 	fcsr := g.ToCSR()
 	inc := newIncumbent()
 
@@ -456,7 +458,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 					panics[i] = &cyclePanic{cycle: base + i, value: r, stack: debug.Stack()}
 				}
 			}()
-			results[i] = s.runCycle(ctx, g, fcsr, base+i, inc, tr)
+			results[i] = s.runCycle(ctx, fcsr, base+i, inc, tr)
 		})
 		for _, cp := range panics {
 			if cp != nil {
@@ -488,7 +490,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 				cyclesRun++
 				continue
 			}
-			rc := &Cycle{Ctx: ctx, Cfg: cfg, Graph: g, Index: c.cycle,
+			rc := &Cycle{Ctx: ctx, Cfg: cfg, Index: c.cycle,
 				Feasible: c.feasible, Goodness: c.goodness, trace: c.trace}
 			s.runStage(rc, PhaseRetry)
 			if rc.StopSearch {
@@ -529,7 +531,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 
 // runCycle executes one cycle on its own RNG stream and workspace and
 // scores the produced assignment against the finest-level CSR.
-func (s *Solver) runCycle(ctx context.Context, g *graph.Graph, fcsr *graph.CSR, cycle int, inc *incumbent, tr *Trace) candidate {
+func (s *Solver) runCycle(ctx context.Context, fcsr *graph.CSR, cycle int, inc *incumbent, tr *Trace) candidate {
 	// Each cycle gets an independent deterministic stream and a pooled
 	// workspace for all its scratch.
 	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(cycle)*0x9E3779B9))
@@ -545,7 +547,7 @@ func (s *Solver) runCycle(ctx context.Context, g *graph.Graph, fcsr *graph.CSR, 
 	cy := &Cycle{
 		Ctx:        ctx,
 		Cfg:        &s.cfg,
-		Graph:      g,
+		CSR:        fcsr,
 		Index:      cycle,
 		RNG:        rng,
 		WS:         ws,

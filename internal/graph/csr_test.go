@@ -27,12 +27,42 @@ func TestToCSRShape(t *testing.T) {
 	}
 }
 
+// sameRows reports whether a and b list the same neighbors with the same
+// weights in the same order on every row. graphsEqual compares edge sets
+// only; contraction and the RNG-driven matchings also depend on order.
+func sameRows(a, b *Graph) bool {
+	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() ||
+		a.TotalEdgeWeight() != b.TotalEdgeWeight() || a.TotalNodeWeight() != b.TotalNodeWeight() {
+		return false
+	}
+	for u := 0; u < a.NumNodes(); u++ {
+		ra, rb := a.Neighbors(Node(u)), b.Neighbors(Node(u))
+		if len(ra) != len(rb) {
+			return false
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestCSRRoundTrip(t *testing.T) {
 	g := buildTriangle(t)
 	back := g.ToCSR().ToGraph()
 	if !graphsEqual(g, back) {
 		t.Fatal("CSR round trip lost data")
 	}
+	if !sameRows(g, back) {
+		t.Fatal("CSR round trip reordered adjacency rows")
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Rows are private: growing one must not clobber its neighbor's.
+	back.MustAddEdge(0, back.AddNode(1), 1)
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +84,7 @@ func TestPropertyCSRRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(50), rng.Intn(120))
 		back := g.ToCSR().ToGraph()
-		return graphsEqual(g, back) && back.Validate() == nil
+		return graphsEqual(g, back) && sameRows(g, back) && back.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

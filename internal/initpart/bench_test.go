@@ -4,19 +4,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/metrics"
 )
 
 func BenchmarkGreedyGrow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 200) // coarsest-graph scale
+	c := randomConnected(rng, 200).ToCSR() // coarsest-graph scale
 	opts := GreedyOptions{K: 4, Restarts: 10,
-		Constraints: metrics.Constraints{Rmax: g.TotalNodeWeight() / 3}}
+		Constraints: metrics.Constraints{Rmax: c.NodeWT / 3}}
+	ws := &arena.Workspace{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GreedyGrow(g, opts, rand.New(rand.NewSource(2))); err != nil {
+		parts, err := GreedyGrowWS(ws, c, opts, rand.New(rand.NewSource(2)))
+		if err != nil {
 			b.Fatal(err)
 		}
+		ws.Ints.Put(parts)
 	}
 }
 

@@ -77,6 +77,24 @@ func TestFrontierPopLeavesNoResidue(t *testing.T) {
 	}
 }
 
+func TestHeaviestMatchesGraphHeaviestNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cases := [][]int64{{3, 7, 7, 1}, {0, 0, 0}, {5}, {2, 9, 1, 9, 9}}
+	for i := 0; i < 20; i++ {
+		w := make([]int64, 1+rng.Intn(12))
+		for j := range w {
+			w[j] = int64(rng.Intn(4)) // small range: many ties
+		}
+		cases = append(cases, w)
+	}
+	for _, w := range cases {
+		g := graph.NewWithWeights(w)
+		if got, want := heaviest(w), g.HeaviestNode(); got != want {
+			t.Fatalf("heaviest(%v) = %d, Graph.HeaviestNode = %d", w, got, want)
+		}
+	}
+}
+
 func TestFixEmptyPartsDonatesLightestFromLargest(t *testing.T) {
 	w := []int64{9, 2, 7, 4, 8}
 	g := graph.NewWithWeights(w)
@@ -85,7 +103,7 @@ func TestFixEmptyPartsDonatesLightestFromLargest(t *testing.T) {
 	}
 	// Part 0 holds everything, parts 1 and 2 are empty.
 	parts := []int{0, 0, 0, 0, 0}
-	fixEmptyParts(g, parts, 3, rand.New(rand.NewSource(1)))
+	fixEmptyParts(g.NodeWeights(), parts, 3)
 	sizes := metrics.PartSizes(parts, 3)
 	for p, s := range sizes {
 		if s == 0 {
@@ -106,7 +124,7 @@ func TestFixEmptyPartsNoOpWhenAllPopulated(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	parts := []int{0, 1, 2}
-	fixEmptyParts(g, parts, 3, rand.New(rand.NewSource(1)))
+	fixEmptyParts(g.NodeWeights(), parts, 3)
 	for i, want := range []int{0, 1, 2} {
 		if parts[i] != want {
 			t.Fatalf("populated parts were rewritten: %v", parts)

@@ -52,21 +52,20 @@ func (o GreedyOptions) withDefaults() GreedyOptions {
 func GreedyGrow(g *graph.Graph, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return GreedyGrowWS(ws, g, nil, opts, rng)
+	return GreedyGrowWS(ws, g.ToCSR(), opts, rng)
 }
 
-// GreedyGrowWS is GreedyGrow with every restart's assignment, resource
-// totals, frontier tables, repair state, and scoring state drawn from
-// ws; one frontier serves all grows of all restarts (it drains to empty
-// after every grow, so reuse needs no clearing). csr, when non-nil,
-// must be a snapshot of g and saves the call its own ToCSR — the
-// multilevel driver passes the coarsest-level snapshot it already
-// built. The winning assignment is returned still backed by ws memory:
-// callers that outlive the workspace must copy it, callers that share
-// the workspace (the GP cycle) may keep it and Put it back when done.
-func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
+// GreedyGrowWS is GreedyGrow on a CSR graph with every restart's
+// assignment, resource totals, frontier tables, repair state, and
+// scoring state drawn from ws; one frontier serves all grows of all
+// restarts (it drains to empty after every grow, so reuse needs no
+// clearing). The winning assignment is returned still backed by ws
+// memory: callers that outlive the workspace must copy it, callers that
+// share the workspace (the GP cycle) may keep it and Put it back when
+// done.
+func GreedyGrowWS(ws *arena.Workspace, csr *graph.CSR, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
 	opts = opts.withDefaults()
-	n := g.NumNodes()
+	n := csr.NumNodes()
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", opts.K)
 	}
@@ -77,7 +76,8 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 	if rmax <= 0 {
 		// Resource-balanced growth target, with 10% slack so the last
 		// partition is not starved by rounding.
-		rmax = g.TotalNodeWeight()/int64(opts.K) + g.MaxNodeWeight()
+		// max(..., 0) is Graph.MaxNodeWeight's floor.
+		rmax = csr.NodeWT/int64(opts.K) + max(csr.NodeW[heaviest(csr.NodeW)], 0)
 	}
 	// Per-part growth bounds: heterogeneous caps when the constraint set
 	// carries them, otherwise the uniform rmax in every slot (identical
@@ -90,12 +90,8 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 			lims[p] = rmax
 		}
 	}
-	// One CSR snapshot serves the repair and scoring of every restart;
-	// scoring through a pstate build costs a single adjacency sweep and is
-	// bit-identical to metrics.Goodness.
-	if csr == nil {
-		csr = g.ToCSR()
-	}
+	// Scoring through a pstate build costs a single adjacency sweep and
+	// is bit-identical to metrics.Goodness.
 	f := frontier{
 		weight: ws.Int64s.Get(n),
 		in:     ws.Bools.Get(n),
@@ -104,18 +100,18 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 		// Packed lazy-heap pops need (weight, id) to fit one int64 key: a
 		// node's accumulated frontier weight is bounded by the total edge
 		// weight, so both bounds guarantee every key is exact.
-		packed: int64(n) <= frontierIDMask && g.TotalEdgeWeight() <= frontierIDMask,
+		packed: int64(n) <= frontierIDMask && csr.EdgeWT <= frontierIDMask,
 	}
 	var best []int
 	bestScore := 0.0
 	for attempt := 0; attempt < opts.Restarts; attempt++ {
 		var seed graph.Node
 		if attempt == 0 {
-			seed = g.HeaviestNode()
+			seed = heaviest(csr.NodeW)
 		} else {
 			seed = graph.Node(rng.Intn(n))
 		}
-		parts := growOnce(ws, g, opts.K, lims, seed, rng, &f)
+		parts := growOnce(ws, csr, opts.K, lims, seed, &f)
 		refine.RepairBandwidthWS(ws, csr, parts, opts.K, opts.Constraints, 4)
 		s, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: opts.K, Constraints: opts.Constraints})
 		if err != nil {
@@ -144,8 +140,8 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 // growOnce performs a single greedy growth from the given seed. f is a
 // drained frontier over n nodes; it is returned drained. lims[p] bounds
 // part p's growth (uniform slots reproduce the scalar-Rmax behavior).
-func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed graph.Node, rng *rand.Rand, f *frontier) []int {
-	n := g.NumNodes()
+func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed graph.Node, f *frontier) []int {
+	n := csr.NumNodes()
 	parts := ws.Ints.Get(n)
 	for i := range parts {
 		parts[i] = Unassigned
@@ -161,14 +157,15 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 			return
 		}
 		parts[s] = p
-		res[p] += g.NodeWeight(s)
+		res[p] += csr.NodeW[s]
 		assigned++
 		// Frontier: unassigned neighbors, expanded by strongest connection
 		// to the growing part first (keeps FIFO traffic internal).
 		push := func(u graph.Node) {
-			for _, h := range g.Neighbors(u) {
-				if parts[h.To] == Unassigned {
-					f.add(h.To, h.Weight)
+			nbrs, wts := csr.Row(u)
+			for i, v := range nbrs {
+				if parts[v] == Unassigned {
+					f.add(v, wts[i])
 				}
 			}
 		}
@@ -178,7 +175,7 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 			if parts[u] != Unassigned {
 				continue
 			}
-			w := g.NodeWeight(u)
+			w := csr.NodeW[u]
 			if res[p]+w > lims[p] {
 				continue // try other frontier nodes; some may be lighter
 			}
@@ -193,7 +190,7 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 	for p := 1; p < k; p++ {
 		// Seed each next partition at the heaviest unassigned node
 		// (paper: "we apply the same for the other partitions").
-		s := heaviestUnassigned(g, parts)
+		s := heaviestUnassigned(csr.NodeW, parts)
 		if s < 0 {
 			break
 		}
@@ -203,9 +200,9 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 	// Leftovers: best-fit by free space (paper: "the first partition which
 	// has biggest free space for that node").
 	if assigned < n {
-		order := unassignedByWeightDesc(g, parts)
+		order := unassignedByWeightDesc(csr.NodeW, parts)
 		for _, u := range order {
-			w := g.NodeWeight(u)
+			w := csr.NodeW[u]
 			bestP := -1
 			var bestFree int64
 			for p := 0; p < k; p++ {
@@ -238,39 +235,52 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 				}
 			}
 			parts[u] = bestP
-			res[bestP] += g.NodeWeight(graph.Node(u))
+			res[bestP] += csr.NodeW[u]
 			assigned++
 		}
 	}
 	// Guarantee every part is non-empty: steal the lightest node from the
 	// largest part for any empty part (k <= n guarantees feasibility).
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(csr.NodeW, parts, k)
 	return parts
 }
 
+// heaviest returns the node with the largest weight, ties broken by
+// lowest id (Graph.HeaviestNode's rule); it is the seed of the paper's
+// greedy initial partitioner.
+func heaviest(nodeW []int64) graph.Node {
+	best := graph.Node(0)
+	var bw int64 = -1
+	for u, w := range nodeW {
+		if w > bw {
+			best, bw = graph.Node(u), w
+		}
+	}
+	return best
+}
+
 // heaviestUnassigned returns the heaviest node not yet placed, or -1.
-func heaviestUnassigned(g *graph.Graph, parts []int) graph.Node {
+func heaviestUnassigned(nodeW []int64, parts []int) graph.Node {
 	best := graph.Node(-1)
 	var bw int64 = -1
-	for u := 0; u < g.NumNodes(); u++ {
-		if parts[u] == Unassigned && g.NodeWeight(graph.Node(u)) > bw {
-			best = graph.Node(u)
-			bw = g.NodeWeight(graph.Node(u))
+	for u, w := range nodeW {
+		if parts[u] == Unassigned && w > bw {
+			best, bw = graph.Node(u), w
 		}
 	}
 	return best
 }
 
 // unassignedByWeightDesc lists unplaced nodes heaviest-first.
-func unassignedByWeightDesc(g *graph.Graph, parts []int) []graph.Node {
+func unassignedByWeightDesc(nodeW []int64, parts []int) []graph.Node {
 	var out []graph.Node
-	for u := 0; u < g.NumNodes(); u++ {
+	for u := range nodeW {
 		if parts[u] == Unassigned {
 			out = append(out, graph.Node(u))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		wi, wj := g.NodeWeight(out[i]), g.NodeWeight(out[j])
+		wi, wj := nodeW[out[i]], nodeW[out[j]]
 		if wi != wj {
 			return wi > wj
 		}
@@ -280,7 +290,7 @@ func unassignedByWeightDesc(g *graph.Graph, parts []int) []graph.Node {
 }
 
 // fixEmptyParts ensures every part id in [0,k) owns at least one node.
-func fixEmptyParts(g *graph.Graph, parts []int, k int, rng *rand.Rand) {
+func fixEmptyParts(nodeW []int64, parts []int, k int) {
 	sizes := metrics.PartSizes(parts, k)
 	for p := 0; p < k; p++ {
 		if sizes[p] > 0 {
@@ -295,9 +305,8 @@ func fixEmptyParts(g *graph.Graph, parts []int, k int, rng *rand.Rand) {
 		}
 		best := graph.Node(-1)
 		var bw int64
-		for u := 0; u < g.NumNodes(); u++ {
+		for u, w := range nodeW {
 			if parts[u] == donor {
-				w := g.NodeWeight(graph.Node(u))
 				if best < 0 || w < bw {
 					best = graph.Node(u)
 					bw = w
@@ -444,15 +453,15 @@ func (f *frontier) popMaxHeap() graph.Node {
 func RandomPartition(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return RandomPartitionWS(ws, g, k, rng)
+	return RandomPartitionWS(ws, g.ToCSR(), k, rng)
 }
 
-// RandomPartitionWS is RandomPartition with the assignment drawn from
-// ws.Ints. The returned buffer is never released back to ws, so it safely
-// outlives the workspace's return to the pool (the same escape pattern as
-// GreedyGrowWS).
-func RandomPartitionWS(ws *arena.Workspace, g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	n := g.NumNodes()
+// RandomPartitionWS is RandomPartition on a CSR graph with the
+// assignment drawn from ws.Ints. The returned buffer is never released
+// back to ws, so it safely outlives the workspace's return to the pool
+// (the same escape pattern as GreedyGrowWS).
+func RandomPartitionWS(ws *arena.Workspace, csr *graph.CSR, k int, rng *rand.Rand) ([]int, error) {
+	n := csr.NumNodes()
 	if k <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", k)
 	}
@@ -463,7 +472,7 @@ func RandomPartitionWS(ws *arena.Workspace, g *graph.Graph, k int, rng *rand.Ran
 	for i := range parts {
 		parts[i] = rng.Intn(k)
 	}
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(csr.NodeW, parts, k)
 	return parts, nil
 }
 
@@ -485,7 +494,7 @@ func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 		nodes[i] = graph.Node(i)
 	}
 	recursiveBisect(g, nodes, 0, k, parts, rng)
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(g.NodeWeights(), parts, k)
 	rebalanceToIdeal(g, parts, k)
 	return parts, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
@@ -27,6 +28,11 @@ func randomConnected(rng *rand.Rand, n int) *graph.Graph {
 	return g
 }
 
+// greedy is GreedyGrowWS on g's CSR snapshot, the form the engine calls.
+func greedy(g *graph.Graph, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
+	return GreedyGrowWS(&arena.Workspace{}, g.ToCSR(), opts, rng)
+}
+
 func allPartsNonEmpty(parts []int, k int) bool {
 	for _, s := range metrics.PartSizes(parts, k) {
 		if s == 0 {
@@ -39,7 +45,7 @@ func allPartsNonEmpty(parts []int, k int) bool {
 func TestGreedyGrowBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 60)
-	parts, err := GreedyGrow(g, GreedyOptions{K: 4}, rng)
+	parts, err := greedy(g, GreedyOptions{K: 4}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +65,7 @@ func TestGreedyGrowSeedsAtHeaviestFirstAttempt(t *testing.T) {
 		g.MustAddEdge(graph.Node(i-1), graph.Node(i), 1)
 	}
 	rng := rand.New(rand.NewSource(2))
-	parts, err := GreedyGrow(g, GreedyOptions{K: 2, Restarts: 1}, rng)
+	parts, err := greedy(g, GreedyOptions{K: 2, Restarts: 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +80,7 @@ func TestGreedyGrowRespectsRmaxWhenFeasible(t *testing.T) {
 		g := randomConnected(rng, 40)
 		// Generous bound: half the total for K=4 is easily feasible.
 		rmax := g.TotalNodeWeight() / 2
-		parts, err := GreedyGrow(g, GreedyOptions{K: 4, Rmax: rmax,
+		parts, err := greedy(g, GreedyOptions{K: 4, Rmax: rmax,
 			Constraints: metrics.Constraints{Rmax: rmax}}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +99,7 @@ func TestGreedyGrowForcedPlacementWhenInfeasible(t *testing.T) {
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	rng := rand.New(rand.NewSource(4))
-	parts, err := GreedyGrow(g, GreedyOptions{K: 2, Rmax: 10}, rng)
+	parts, err := greedy(g, GreedyOptions{K: 2, Rmax: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +111,10 @@ func TestGreedyGrowForcedPlacementWhenInfeasible(t *testing.T) {
 func TestGreedyGrowErrors(t *testing.T) {
 	g := randomConnected(rand.New(rand.NewSource(5)), 5)
 	rng := rand.New(rand.NewSource(5))
-	if _, err := GreedyGrow(g, GreedyOptions{K: 0}, rng); err == nil {
+	if _, err := greedy(g, GreedyOptions{K: 0}, rng); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := GreedyGrow(g, GreedyOptions{K: 10}, rng); err == nil {
+	if _, err := greedy(g, GreedyOptions{K: 10}, rng); err == nil {
 		t.Fatal("K > n accepted")
 	}
 }
@@ -118,11 +124,11 @@ func TestGreedyGrowRestartsImproveOrEqual(t *testing.T) {
 	rng2 := rand.New(rand.NewSource(6))
 	g := randomConnected(rand.New(rand.NewSource(7)), 50)
 	c := metrics.Constraints{Bmax: 50, Rmax: g.TotalNodeWeight() / 2}
-	one, err := GreedyGrow(g, GreedyOptions{K: 4, Restarts: 1, Constraints: c}, rng1)
+	one, err := greedy(g, GreedyOptions{K: 4, Restarts: 1, Constraints: c}, rng1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := GreedyGrow(g, GreedyOptions{K: 4, Restarts: 12, Constraints: c}, rng2)
+	many, err := greedy(g, GreedyOptions{K: 4, Restarts: 12, Constraints: c}, rng2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +140,7 @@ func TestGreedyGrowRestartsImproveOrEqual(t *testing.T) {
 func TestRandomPartitionValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(rng, 30)
-	parts, err := RandomPartition(g, 5, rng)
+	parts, err := RandomPartitionWS(&arena.Workspace{}, g.ToCSR(), 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +150,10 @@ func TestRandomPartitionValid(t *testing.T) {
 	if !allPartsNonEmpty(parts, 5) {
 		t.Fatal("random partition left empty part")
 	}
-	if _, err := RandomPartition(g, 0, rng); err == nil {
+	if _, err := RandomPartitionWS(&arena.Workspace{}, g.ToCSR(), 0, rng); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := RandomPartition(g, 31, rng); err == nil {
+	if _, err := RandomPartitionWS(&arena.Workspace{}, g.ToCSR(), 31, rng); err == nil {
 		t.Fatal("K > n accepted")
 	}
 }

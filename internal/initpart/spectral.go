@@ -142,7 +142,7 @@ func SpectralKWay(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 		nodes[i] = graph.Node(i)
 	}
 	spectralRecurse(g, nodes, 0, k, parts, rng)
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(g.NodeWeights(), parts, k)
 	rebalanceToIdeal(g, parts, k)
 	return parts, nil
 }

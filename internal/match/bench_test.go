@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 )
 
@@ -26,28 +27,22 @@ func benchGraph(n int) *graph.Graph {
 	return g
 }
 
-func BenchmarkRandomMatching(b *testing.B) {
-	g := benchGraph(10000)
+// benchCompute times ComputeWS on a 10k-node CSR with one persistent
+// workspace, the way each coarsening level calls it.
+func benchCompute(b *testing.B, h Heuristic) {
+	c := benchGraph(10000).ToCSR()
+	ws := &arena.Workspace{}
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Random(g, rng)
+		if _, err := ComputeWS(ws, h, c, 4, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkHeavyEdgeMatching(b *testing.B) {
-	g := benchGraph(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = HeavyEdge(g)
-	}
-}
+func BenchmarkRandomMatching(b *testing.B) { benchCompute(b, HeuristicRandom) }
 
-func BenchmarkKMeansMatching(b *testing.B) {
-	g := benchGraph(10000)
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = KMeans(g, 4, rng)
-	}
-}
+func BenchmarkHeavyEdgeMatching(b *testing.B) { benchCompute(b, HeuristicHeavyEdge) }
+
+func BenchmarkKMeansMatching(b *testing.B) { benchCompute(b, HeuristicKMeans) }

@@ -73,17 +73,22 @@ func (m Matching) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// MatchedWeight returns the total weight of matched edges — the weight
-// that contraction removes from the graph. Heavier is generally better:
-// hidden intra-pair traffic can never be cut.
-func (m Matching) MatchedWeight(g *graph.Graph) int64 {
+// MatchedWeightCSR returns the total weight of matched edges — the
+// weight that contraction removes from the graph. Heavier is generally
+// better: hidden intra-pair traffic can never be cut.
+func (m Matching) MatchedWeightCSR(c *graph.CSR) int64 {
 	var s int64
 	for u, v := range m {
 		if v != Unmatched && graph.Node(u) < v {
-			s += g.EdgeWeight(graph.Node(u), v)
+			s += c.EdgeWeight(graph.Node(u), v)
 		}
 	}
 	return s
+}
+
+// MatchedWeight is MatchedWeightCSR on a Graph.
+func (m Matching) MatchedWeight(g *graph.Graph) int64 {
+	return m.MatchedWeightCSR(g.ToCSR())
 }
 
 // Random computes a Random Maximal Matching: nodes are visited in random
@@ -92,7 +97,7 @@ func (m Matching) MatchedWeight(g *graph.Graph) int64 {
 func Random(g *graph.Graph, rng *rand.Rand) Matching {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return randomWS(ws, g, rng)
+	return randomWS(ws, g.ToCSR(), rng)
 }
 
 // HeavyEdge computes a Heavy-Edge Matching: edges are visited in
@@ -107,7 +112,7 @@ func Random(g *graph.Graph, rng *rand.Rand) Matching {
 func HeavyEdge(g *graph.Graph) Matching {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return heavyEdgeWS(ws, g)
+	return heavyEdgeWS(ws, g.ToCSR())
 }
 
 // KMeans computes the paper's K-Means Matching: nodes are clustered by
@@ -120,7 +125,7 @@ func HeavyEdge(g *graph.Graph) Matching {
 func KMeans(g *graph.Graph, nClusters int, rng *rand.Rand) Matching {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return kMeansWS(ws, g, nClusters, rng)
+	return kMeansWS(ws, g.ToCSR(), nClusters, rng)
 }
 
 func absF(x float64) float64 {
@@ -185,17 +190,17 @@ func (h Heuristic) UsesRNG() bool {
 // to 4 weight clusters. An unknown heuristic yields an error wrapping
 // ErrUnknownHeuristic. The returned Matching itself is freshly allocated
 // — it outlives the call — but everything transient is pooled.
-func ComputeWS(ws *arena.Workspace, h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
+func ComputeWS(ws *arena.Workspace, h Heuristic, c *graph.CSR, kClusters int, rng *rand.Rand) (Matching, error) {
 	switch h {
 	case HeuristicRandom:
-		return randomWS(ws, g, rng), nil
+		return randomWS(ws, c, rng), nil
 	case HeuristicHeavyEdge:
-		return heavyEdgeWS(ws, g), nil
+		return heavyEdgeWS(ws, c), nil
 	case HeuristicKMeans:
 		if kClusters <= 0 {
 			kClusters = 4
 		}
-		return kMeansWS(ws, g, kClusters, rng), nil
+		return kMeansWS(ws, c, kClusters, rng), nil
 	default:
 		return nil, fmt.Errorf("%w %d", ErrUnknownHeuristic, int(h))
 	}
@@ -217,8 +222,8 @@ func permInto(rng *rand.Rand, out []int) {
 }
 
 // randomWS is Random with the visit order and candidate list pooled.
-func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
-	n := g.NumNodes()
+func randomWS(ws *arena.Workspace, c *graph.CSR, rng *rand.Rand) Matching {
+	n := c.NumNodes()
 	m := NewMatching(n)
 	order := ws.Ints.Cap(n)[:n]
 	permInto(rng, order)
@@ -229,9 +234,10 @@ func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
 			continue
 		}
 		cand = cand[:0]
-		for _, h := range g.Neighbors(u) {
-			if m[h.To] == Unmatched {
-				cand = append(cand, h.To)
+		nbrs, _ := c.Row(u)
+		for _, v := range nbrs {
+			if m[v] == Unmatched {
+				cand = append(cand, v)
 			}
 		}
 		if len(cand) == 0 {
@@ -251,17 +257,18 @@ func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
 // branch-lean primitive sort; the packed integer order is exactly the
 // struct comparator's total order, so the matching is bit-identical to
 // the comparator path, which remains as the general fallback.
-func heavyEdgeWS(ws *arena.Workspace, g *graph.Graph) Matching {
-	n := g.NumNodes()
+func heavyEdgeWS(ws *arena.Workspace, c *graph.CSR) Matching {
+	n := c.NumNodes()
 	if idBits := bits.Len(uint(n)); n > 0 && 2*idBits < 63 &&
-		g.TotalEdgeWeight() < int64(1)<<(63-2*idBits) {
-		return heavyEdgePackedWS(ws, g, uint(idBits))
+		c.EdgeWT < int64(1)<<(63-2*idBits) {
+		return heavyEdgePackedWS(ws, c, uint(idBits))
 	}
-	edges := ws.Edges.Cap(g.NumEdges())
+	edges := ws.Edges.Cap(c.NumEdges())
 	for u := 0; u < n; u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) < h.To {
-				edges = append(edges, graph.Edge{U: graph.Node(u), V: h.To, Weight: h.Weight})
+		nbrs, wts := c.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) < v {
+				edges = append(edges, graph.Edge{U: graph.Node(u), V: v, Weight: wts[i]})
 			}
 		}
 	}
@@ -294,16 +301,17 @@ func heavyEdgeWS(ws *arena.Workspace, g *graph.Graph) Matching {
 // high bits and u, v (each < 2^idBits) below yields an integer whose
 // natural order is the comparator's (weight desc, u asc, v asc). Keys are
 // unique (one per endpoint pair), so sort stability is irrelevant.
-func heavyEdgePackedWS(ws *arena.Workspace, g *graph.Graph, idBits uint) Matching {
-	n := g.NumNodes()
-	total := g.TotalEdgeWeight()
+func heavyEdgePackedWS(ws *arena.Workspace, c *graph.CSR, idBits uint) Matching {
+	n := c.NumNodes()
+	total := c.EdgeWT
 	mask := int64(1)<<idBits - 1
-	keys := ws.Int64s.Cap(g.NumEdges())
+	keys := ws.Int64s.Cap(c.NumEdges())
 	for u := 0; u < n; u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) < h.To {
-				keys = append(keys, (total-h.Weight)<<(2*idBits)|
-					int64(u)<<idBits|int64(h.To))
+		nbrs, wts := c.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) < v {
+				keys = append(keys, (total-wts[i])<<(2*idBits)|
+					int64(u)<<idBits|int64(v))
 			}
 		}
 	}
@@ -322,8 +330,8 @@ func heavyEdgePackedWS(ws *arena.Workspace, g *graph.Graph, idBits uint) Matchin
 
 // kMeansWS is KMeans with the cluster table, visit order, candidate
 // lists, and Lloyd-iteration scratch pooled.
-func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand) Matching {
-	n := g.NumNodes()
+func kMeansWS(ws *arena.Workspace, c *graph.CSR, nClusters int, rng *rand.Rand) Matching {
+	n := c.NumNodes()
 	m := NewMatching(n)
 	if n == 0 {
 		return m
@@ -334,7 +342,7 @@ func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand
 	if nClusters > n {
 		nClusters = n
 	}
-	cluster := kmeans1DWS(ws, g, nClusters)
+	cluster := kmeans1DWS(ws, c, nClusters)
 
 	order := ws.Ints.Cap(n)[:n]
 	permInto(rng, order)
@@ -347,14 +355,15 @@ func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand
 		}
 		sameCluster = sameCluster[:0]
 		other = other[:0]
-		for _, h := range g.Neighbors(u) {
-			if m[h.To] != Unmatched {
+		nbrs, _ := c.Row(u)
+		for _, v := range nbrs {
+			if m[v] != Unmatched {
 				continue
 			}
-			if cluster[h.To] == cluster[u] {
-				sameCluster = append(sameCluster, h.To)
+			if cluster[v] == cluster[u] {
+				sameCluster = append(sameCluster, v)
 			} else {
-				other = append(other, h.To)
+				other = append(other, v)
 			}
 		}
 		var v graph.Node
@@ -377,8 +386,8 @@ func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand
 
 // kmeans1DWS is kmeans1D with every buffer drawn from ws. The returned
 // cluster table comes from ws.Ints; the caller puts it back.
-func kmeans1DWS(ws *arena.Workspace, g *graph.Graph, k int) []int {
-	n := g.NumNodes()
+func kmeans1DWS(ws *arena.Workspace, c *graph.CSR, k int) []int {
+	n := c.NumNodes()
 	cluster := ws.Ints.Get(n)
 	if k == 1 || n <= k {
 		for i := range cluster {
@@ -389,8 +398,8 @@ func kmeans1DWS(ws *arena.Workspace, g *graph.Graph, k int) []int {
 		return cluster
 	}
 	wts := ws.Floats.Cap(n)[:n]
-	for u := 0; u < n; u++ {
-		wts[u] = float64(g.NodeWeight(graph.Node(u)))
+	for u, w := range c.NodeW {
+		wts[u] = float64(w)
 	}
 	sorted := append(ws.Floats.Cap(n), wts...)
 	sort.Float64s(sorted)

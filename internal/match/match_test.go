@@ -219,7 +219,7 @@ func TestComputeAndNames(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 20)
 	for _, h := range All() {
-		m, err := ComputeWS(&arena.Workspace{}, h, g, 0, rng)
+		m, err := ComputeWS(&arena.Workspace{}, h, g.ToCSR(), 0, rng)
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
@@ -239,7 +239,7 @@ func TestComputeAndNames(t *testing.T) {
 	if Heuristic(99).Valid() {
 		t.Fatal("heuristic 99 should not be valid")
 	}
-	m, err := ComputeWS(&arena.Workspace{}, Heuristic(99), g, 0, rng)
+	m, err := ComputeWS(&arena.Workspace{}, Heuristic(99), g.ToCSR(), 0, rng)
 	if !errors.Is(err, ErrUnknownHeuristic) {
 		t.Fatalf("ComputeWS with unknown heuristic: err = %v, want ErrUnknownHeuristic", err)
 	}
@@ -253,7 +253,7 @@ func TestPropertyAllHeuristicsValidMaximal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 2+rng.Intn(40))
 		for _, h := range All() {
-			m, err := ComputeWS(&arena.Workspace{}, h, g, 3, rng)
+			m, err := ComputeWS(&arena.Workspace{}, h, g.ToCSR(), 3, rng)
 			if err != nil || m.Validate(g) != nil || !isMaximal(g, m) {
 				return false
 			}
@@ -270,12 +270,12 @@ func TestPropertyMatchedWeightBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 2+rng.Intn(40))
 		for _, h := range All() {
-			m, err := ComputeWS(&arena.Workspace{}, h, g, 3, rng)
+			m, err := ComputeWS(&arena.Workspace{}, h, g.ToCSR(), 3, rng)
 			if err != nil {
 				return false
 			}
 			w := m.MatchedWeight(g)
-			if w < 0 || w > g.TotalEdgeWeight() {
+			if w < 0 || w > g.TotalEdgeWeight() || w != m.MatchedWeightCSR(g.ToCSR()) {
 				return false
 			}
 		}

@@ -37,10 +37,10 @@ func RepairBandwidth(g *graph.Graph, parts []int, k int, c metrics.Constraints, 
 	return RepairBandwidthWS(ws, g.ToCSR(), parts, k, c, maxPasses)
 }
 
-// RepairBandwidthWS is RepairBandwidth on a prebuilt CSR snapshot — the
-// form the multilevel driver uses, building one CSR per hierarchy level
-// and sharing it across every refinement stage at that level — drawing
-// the partition state and the per-pass moved set from ws.
+// RepairBandwidthWS is RepairBandwidth on a CSR graph — the form the
+// multilevel driver uses on each hierarchy level's CSR, shared across
+// every refinement stage at that level — drawing the partition state and
+// the per-pass moved set from ws.
 func RepairBandwidthWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) BandwidthStats {
 	st := BandwidthStats{}
 	if c.Bmax <= 0 {
