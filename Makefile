@@ -32,10 +32,14 @@ perfbench-check:
 # One-second traced benchmark runs. A traced run replays cycle 0's
 # coarsening through the Graph-form match and coarsen calls and counts a
 # failed operation when the replay's level count differs from the
-# engine's; run.sh exits non-zero on any failed operation.
+# engine's; run.sh exits non-zero on any failed operation. The ppnd-mix
+# run drives the daemon path (wire decode, cache, solve, verify): it
+# fails when a daemon-decoded miss differs from a library core.Partition
+# of the same graph or a hit differs from its miss.
 perfbench-smoke:
 	bash perfbench/run.sh --workload gp-batch-100k --seed 1 --seconds 1 --trace 1
 	bash perfbench/run.sh --workload ppn-fanout-replicate --seed 1 --seconds 1 --trace 1
+	bash perfbench/run.sh --workload ppnd-mix --seed 1 --seconds 1 --trace 1
 
 # staticcheck is optional locally (CI installs it): skip with a notice
 # when the binary is absent rather than failing the gate.
@@ -66,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStateDifferential -fuzztime=$(FUZZTIME) ./internal/pstate
 	$(GO) test -run='^$$' -fuzz=FuzzHyperPState -fuzztime=$(FUZZTIME) ./internal/pstate
 	$(GO) test -run='^$$' -fuzz=FuzzJobRequest -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDifferential -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzBatchSelect -fuzztime=$(FUZZTIME) ./internal/refine

@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// jobRequestSeeds is the seed corpus of the request fuzz targets.
+func jobRequestSeeds() []string {
+	return []string{
+		ringBody(8, 3, 100, 50, ""),
+		ringBody(4, 1, 0, 0, `"timeout_ms":500,"async":true`),
+		`{"graph":{"nodes":[{"id":0,"weight":-3}],"edges":[]},"k":1}`,
+		`{"graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"u":0,"v":1,"weight":-9}]},"k":-2}`,
+		`{"graph":{"nodes":[{"id":9}],"edges":[]},"k":1,"bmax":-1,"rmax":-99999999999}`,
+		`{"k":4}`,
+		`not json at all`,
+		`{"graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"u":0,"v":0,"weight":1}]},"k":1}`,
+	}
+}
+
 // FuzzJobRequest hammers the job-request decoder/validator with arbitrary
 // bodies: malformed JSON, hostile graphs (sparse ids, self loops,
 // negative weights), absurd K/Bmax/Rmax. The decoder must never panic,
@@ -13,14 +27,9 @@ import (
 // hand back a graph/request pair whose invariants hold and whose cache
 // key is deterministic.
 func FuzzJobRequest(f *testing.F) {
-	f.Add([]byte(ringBody(8, 3, 100, 50, "")))
-	f.Add([]byte(ringBody(4, 1, 0, 0, `"timeout_ms":500,"async":true`)))
-	f.Add([]byte(`{"graph":{"nodes":[{"id":0,"weight":-3}],"edges":[]},"k":1}`))
-	f.Add([]byte(`{"graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"u":0,"v":1,"weight":-9}]},"k":-2}`))
-	f.Add([]byte(`{"graph":{"nodes":[{"id":9}],"edges":[]},"k":1,"bmax":-1,"rmax":-99999999999}`))
-	f.Add([]byte(`{"k":4}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"u":0,"v":0,"weight":1}]},"k":1}`))
+	for _, b := range jobRequestSeeds() {
+		f.Add([]byte(b))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, g, err := DecodeJobRequest(bytes.NewReader(data))

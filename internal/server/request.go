@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -148,15 +147,13 @@ func (req *JobRequest) PriorityClass() string {
 // request and the built graph. Every validation failure wraps
 // ErrBadRequest.
 func DecodeJobRequest(r io.Reader) (*JobRequest, *graph.Graph, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxBodyBytes+1))
-	dec.DisallowUnknownFields()
-	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	body, err := readBody(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Trailing garbage after the JSON document is a malformed request.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return nil, nil, fmt.Errorf("%w: trailing data after request body", ErrBadRequest)
+	var req JobRequest
+	if err := decodeRequest(body, &req); err != nil {
+		return nil, nil, err
 	}
 	g, err := req.BuildGraph()
 	if err != nil {

@@ -349,8 +349,10 @@ func TestJournalAppendFailureRefusesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	// The gate stays shut until the first submission is refused: a job
+	// settled by the worker appends its own record, and that append
+	// could otherwise take the single armed fsync failure first.
 	gt := newGate()
-	close(gt.release)
 	s := NewScheduler(Config{Workers: 1, Journal: j, Solver: gatedSolver(gt)}, nil)
 	defer s.Close()
 
@@ -362,6 +364,7 @@ func TestJournalAppendFailureRefusesJob(t *testing.T) {
 	if !errors.Is(err, ErrJournalAppend) {
 		t.Fatalf("submit under fsync failure = %v, want ErrJournalAppend", err)
 	}
+	close(gt.release)
 	chaos.Disarm()
 	if _, _, _, jerrs := s.Metrics().Resilience(); jerrs == 0 {
 		t.Fatal("journal error counter did not move")

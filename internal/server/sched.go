@@ -957,11 +957,13 @@ func verifyResult(g *graph.Graph, req *JobRequest, jr *JobResult) error {
 	}
 	rep := metrics.Evaluate(g, jr.Parts, req.K, metrics.Constraints{Bmax: req.Bmax, Rmax: req.Rmax})
 	if rep.EdgeCut != jr.EdgeCut || rep.MaxLocalBandwidth != jr.MaxLocalBandwidth ||
-		rep.MaxResource != jr.MaxResource || rep.Feasible != jr.Feasible {
+		rep.MaxResource != jr.MaxResource || rep.Feasible != jr.Feasible ||
+		rep.HyperCut != jr.HyperedgeCut {
 		return fmt.Errorf("server: served metrics diverge from recomputation: "+
-			"cut %d/%d bw %d/%d res %d/%d feasible %v/%v",
+			"cut %d/%d bw %d/%d res %d/%d feasible %v/%v hypercut %d/%d",
 			jr.EdgeCut, rep.EdgeCut, jr.MaxLocalBandwidth, rep.MaxLocalBandwidth,
-			jr.MaxResource, rep.MaxResource, jr.Feasible, rep.Feasible)
+			jr.MaxResource, rep.MaxResource, jr.Feasible, rep.Feasible,
+			jr.HyperedgeCut, rep.HyperCut)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"ppnpart/internal/core"
 	"ppnpart/internal/engine"
 	"ppnpart/internal/graph"
+	"ppnpart/internal/metrics"
 )
 
 // TestSettledJobsReleaseInputs: a terminal job stays in the retention
@@ -73,4 +74,39 @@ func TestSettledJobsReleaseInputs(t *testing.T) {
 		defer s.Close()
 		settled(t, submit(t, s, ringBody(16, 2, 0, 0, "")), StateFailed, OutcomePanic)
 	})
+}
+
+// TestVerifyResultCatchesEachFigure: the served-result cross-check fails
+// when any one served figure departs from the from-scratch recompute.
+func TestVerifyResultCatchesEachFigure(t *testing.T) {
+	body := `{"graph":{"nodes":[{"id":0,"weight":1},{"id":1,"weight":2},{"id":2,"weight":3},{"id":3,"weight":4}],` +
+		`"edges":[{"u":0,"v":1,"weight":5},{"u":1,"v":2,"weight":6},{"u":2,"v":3,"weight":7}],` +
+		`"hyperedges":[{"pins":[0,2,3],"weight":8}]},"k":3,"bmax":100,"rmax":100}`
+	req, g, err := DecodeJobRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := []int{0, 1, 1, 2}
+	rep := metrics.Evaluate(g, parts, req.K, metrics.Constraints{Bmax: req.Bmax, Rmax: req.Rmax})
+	if rep.HyperCut == 0 {
+		t.Fatal("fixture needs a cut hyperedge")
+	}
+	served := JobResult{Parts: parts, K: req.K, Feasible: rep.Feasible, EdgeCut: rep.EdgeCut,
+		MaxLocalBandwidth: rep.MaxLocalBandwidth, MaxResource: rep.MaxResource, HyperedgeCut: rep.HyperCut}
+	if err := verifyResult(g, req, &served); err != nil {
+		t.Fatalf("faithful result rejected: %v", err)
+	}
+	for name, tamper := range map[string]func(*JobResult){
+		"EdgeCut":           func(jr *JobResult) { jr.EdgeCut++ },
+		"MaxLocalBandwidth": func(jr *JobResult) { jr.MaxLocalBandwidth++ },
+		"MaxResource":       func(jr *JobResult) { jr.MaxResource++ },
+		"Feasible":          func(jr *JobResult) { jr.Feasible = !jr.Feasible },
+		"HyperedgeCut":      func(jr *JobResult) { jr.HyperedgeCut++ },
+	} {
+		jr := served
+		tamper(&jr)
+		if err := verifyResult(g, req, &jr); err == nil {
+			t.Errorf("tampered %s passed verification", name)
+		}
+	}
 }
