@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJobRequest -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDifferential -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzRefineRaceDifferential -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run='^$$' -fuzz=FuzzBatchSelect -fuzztime=$(FUZZTIME) ./internal/refine
 	$(GO) test -run='^$$' -fuzz=FuzzGainBuckets -fuzztime=$(FUZZTIME) ./internal/refine

@@ -153,9 +153,9 @@ func BenchmarkScaleGP(b *testing.B) {
 	}
 
 	// Large-instance refinement pair: the same n=100000 graph solved with
-	// the serial pipeline race and with batch refinement, reported as
-	// sibling sub-benchmarks so the trajectory file records the
-	// serial-vs-batch wall-clock delta and both cuts. k=16 is where the
+	// the serial stage pipelines on every level and with batch refinement,
+	// reported as sibling sub-benchmarks so the trajectory file records the
+	// serial-vs-batch wall-clock delta, both cuts and both feasibilities. k=16 is where the
 	// refinement share of the solve is largest (FM move evaluation is
 	// O(k), coarsening is k-independent), i.e. where batch refinement's
 	// single-sweep-plus-polish structure pays off most.
@@ -181,6 +181,7 @@ func BenchmarkScaleGP(b *testing.B) {
 			b.Run(m.name, func(b *testing.B) {
 				b.ResetTimer()
 				var cut int64
+				var feasible float64
 				for i := 0; i < b.N; i++ {
 					res, err := core.Partition(g, core.Options{
 						K: k, Constraints: c, Seed: 1, MaxCycles: 8, Refine: m.mode,
@@ -189,8 +190,13 @@ func BenchmarkScaleGP(b *testing.B) {
 						b.Fatal(err)
 					}
 					cut = res.Report.EdgeCut
+					feasible = 0
+					if res.Feasible {
+						feasible = 1
+					}
 				}
 				b.ReportMetric(float64(cut), "cut")
+				b.ReportMetric(feasible, "feasible")
 			})
 		}
 	})

@@ -362,7 +362,7 @@ func TestDeterminismStandaloneStreamGolden(t *testing.T) {
 
 // TestDeterminismRepeatedRuns checks run-to-run stability directly: the
 // same options must yield the same assignment every time, even though
-// refinement pipelines and matching heuristics execute concurrently.
+// cycles and matching heuristics execute concurrently.
 func TestDeterminismRepeatedRuns(t *testing.T) {
 	inst, err := gen.PaperInstance(2)
 	if err != nil {

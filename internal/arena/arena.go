@@ -90,8 +90,8 @@ type Workspace struct {
 }
 
 // Child returns the i-th persistent sub-workspace, creating it on first
-// use. Children let a bounded set of sibling goroutines (refinement
-// pipelines, RNG-free matching heuristics) each reuse their own scratch
+// use. Children let a bounded set of sibling goroutines (RNG-free
+// matching heuristics, restream workers) each reuse their own scratch
 // across invocations while the parent retains ownership for pooling.
 // The parent must not touch a child while the child's goroutine runs.
 func (ws *Workspace) Child(i int) *Workspace {

@@ -86,9 +86,9 @@ type Config struct {
 	// yields the same partition and trace as a serial run.
 	Parallelism int
 	// Pool executes every parallel fan-out of the solve — the cycle
-	// batches, the pipeline race, the batch gain sweeps, the matching
-	// heuristics, and the restream sweeps — so a solve spawns workers
-	// once instead of per round/level/pass. Nil uses the process-wide
+	// batches, the batch gain sweeps, the matching heuristics, and the
+	// restream sweeps — so a solve spawns workers once instead of per
+	// round/level/pass. Nil uses the process-wide
 	// shared pool.Default(); the pool width never changes any result bit
 	// (the determinism goldens pin runs across widths 1–16).
 	Pool *pool.Pool
@@ -196,7 +196,8 @@ const (
 	PhaseInitialPartition
 	// PhaseUncoarsen projects the assignment one level finer.
 	PhaseUncoarsen
-	// PhaseRefine runs the competing refinement pipelines on one level.
+	// PhaseRefine refines one level: the goodness-best of the competing
+	// stage pipelines, or the batch pass on large levels.
 	PhaseRefine
 	// PhaseRetry decides whether the cyclic search continues.
 	PhaseRetry
@@ -413,9 +414,9 @@ type candidate struct {
 //
 // Serial semantics: stop at the first feasible cycle (lowest cycle index)
 // unless MinimizeAfterFeasible. Cycle 0 runs alone, so its nested
-// fan-outs (matching heuristics, the pipeline race, batch sweeps) have
-// the whole pool; a feasible cycle 0 ends the search without a sibling
-// cycle that would only be discarded. Later cycles run in deterministic
+// fan-outs (matching heuristics, batch sweeps) have the whole pool; a
+// feasible cycle 0 ends the search without a sibling cycle that would
+// only be discarded. Later cycles run in deterministic
 // batches of cfg.Parallelism, and with MinimizeAfterFeasible (where every
 // cycle runs anyway) so does cycle 0. A batch may overshoot the stopping
 // cycle; overshoot results are discarded to keep parallel == serial.

@@ -161,11 +161,12 @@ func (uncoarsenStage) Run(cy *Cycle) error {
 }
 
 // refineStage refines the current level. Below the batch threshold (or
-// under RefineSerial) every pipeline runs concurrently on its own copy of
-// the projected partition and the goodness-best outcome wins. At and above
-// the threshold (or under RefineBatch) a single data-parallel batch pass
-// plus a serial FM polish replaces the pipeline race; a panic inside the
-// batch pass is isolated and the level degrades to the serial pipelines.
+// under RefineSerial) bestRefinement compares the stage pipelines on the
+// projected partition, running each distinct stage once, and the
+// goodness-best outcome wins. At and above the threshold (or under
+// RefineBatch) a single data-parallel batch pass plus a serial FM polish
+// replaces the pipelines; a panic inside the batch pass is isolated and
+// the level degrades to the serial pipelines.
 type refineStage struct{}
 
 func (refineStage) Phase() Phase { return PhaseRefine }
@@ -195,7 +196,7 @@ func (refineStage) Run(cy *Cycle) error {
 		} else {
 			// The batch pass panicked before touching cy.Parts (it
 			// mutates only its own incremental state until it returns);
-			// fall back to the full serial pipeline race.
+			// fall back to the serial pipelines.
 			mode = "batch-degraded"
 			bt = &BatchTrace{Degraded: true}
 			win = bestRefinement(cy.CSR, cy.Parts, cy.Cfg, cy.WS, cy.abandon, cy.trace != nil)
@@ -237,8 +238,8 @@ const batchApplyPoint = "engine.batch-apply"
 // assignment the caller handed in, so the serial fallback starts clean.
 func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
 	cfg := cy.Cfg
-	// The batch path replaces the pipeline race, so it reuses pipeline
-	// 0's per-cycle child workspace for all its scratch.
+	// The batch path replaces the pipelines and, like them, draws all its
+	// scratch from the cycle's child workspace 0.
 	ws := cy.WS.Child(0)
 	tracing := cy.trace != nil
 	defer func() {
@@ -278,31 +279,28 @@ func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
 	// a tight two-pass budget — it only mops up the local moves batch
 	// independence forbade — while the repair stages keep their full
 	// pass budget.
-	var fm *refine.Stats
-	var fmStats refine.Stats
-	if tracing {
-		fm = &fmStats
-	}
 	polishCfg := *cfg
 	polishCfg.RefinePasses = 2
-	for si, stage := range pipelines[0] {
+	win = refineWin{pipeline: -1}
+	for si, s := range pipelines[0] {
 		if si > 0 && cy.abandon() {
 			break
 		}
+		scfg := cfg
 		if si == 0 {
-			stage(cy.CSR, cy.Parts, &polishCfg, ws, fm)
-		} else {
-			stage(cy.CSR, cy.Parts, cfg, ws, fm)
+			scfg = &polishCfg
+		}
+		_, fm := stageFuncs[s](cy.CSR, cy.Parts, scfg, ws)
+		if tracing {
+			win.fmPasses += fm.Passes
+			win.fmMoves += fm.Moves
 		}
 	}
 	var extra *evalExtra
-	win = refineWin{pipeline: -1}
 	if tracing {
 		extra = &win.extra
 	}
 	win.score, win.feasible = cfg.evaluateWS(ws, cy.CSR, cy.Parts, extra)
-	win.fmPasses = fmStats.Passes
-	win.fmMoves = fmStats.Moves
 	return win, bt, true
 }
 
@@ -333,44 +331,75 @@ func (retryStage) Run(cy *Cycle) error {
 	return nil
 }
 
-// refinePipeline is one ordering of the local-search stages. Stages read
-// adjacency through the hierarchy level's CSR, shared read-only by all
-// pipelines at that level, and draw scratch from the
-// pipeline's workspace. fm, when non-nil, accumulates k-way FM work for
-// the trace.
-type refinePipeline []func(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, fm *refine.Stats)
+// stageFunc is one local-search stage: it refines parts in place, reading
+// adjacency through the level's CSR (shared read-only by every stage at
+// that level) and drawing scratch from ws. It returns the number of moves
+// it applied and, for the k-way FM stage, the FM work it did.
+//
+// Every stage is RNG-free, so its result is a function of (CSR, parts,
+// cfg) alone, and a stage that reports zero moves has left parts
+// untouched:
+//   - stageCut: KWayFMWS writes parts[u] only for a counted move, and it
+//     takes strictly improving moves only, so moves > 0 also means the
+//     assignment changed (its cut fell).
+//   - stageResources and stageVector: RebalanceResourcesWS and
+//     RebalanceVectorWS write parts[u] only for a counted move.
+//   - stageBandwidth: RepairBandwidthWS copies back the state it built
+//     from parts, which moved only through counted moves.
+//
+// A repair stage's moves can cancel out, so moves > 0 does not prove a
+// change; bestRefinement then treats an unchanged state as a new history,
+// which costs deduplication, never exactness.
+type stageFunc func(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace) (moves int, fm refine.Stats)
 
-func stageCut(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, fm *refine.Stats) {
+func stageCut(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace) (int, refine.Stats) {
 	st := refine.KWayFMWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
-	if fm != nil {
-		fm.Passes += st.Passes
-		fm.Moves += st.Moves
-	}
+	return st.Moves, st
 }
 
-func stageBandwidth(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	refine.RepairBandwidthWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+func stageBandwidth(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace) (int, refine.Stats) {
+	st := refine.RepairBandwidthWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+	return st.Moves, refine.Stats{}
 }
 
-func stageResources(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	refine.RebalanceResourcesWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+func stageResources(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace) (int, refine.Stats) {
+	moves, _ := refine.RebalanceResourcesWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+	return moves, refine.Stats{}
 }
 
 // stageVector repairs multi-resource overflow; it only applies at the
 // finest level, where the assignment indexes the original nodes.
-func stageVector(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	if cfg.vectorActive() && len(parts) == len(cfg.VectorResources) {
-		refine.RebalanceVectorWS(ws, csr, cfg.VectorResources, parts, cfg.K,
-			cfg.VectorConstraints, cfg.RefinePasses)
+func stageVector(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace) (int, refine.Stats) {
+	if !cfg.vectorActive() || len(parts) != len(cfg.VectorResources) {
+		return 0, refine.Stats{}
 	}
+	moves, _ := refine.RebalanceVectorWS(ws, csr, cfg.VectorResources, parts, cfg.K,
+		cfg.VectorConstraints, cfg.RefinePasses)
+	return moves, refine.Stats{}
 }
 
-// pipelines are the candidate stage orderings compared at each level.
-var pipelines = []refinePipeline{
-	{stageCut, stageResources, stageBandwidth, stageVector},
-	{stageResources, stageVector, stageBandwidth, stageCut},
-	{stageBandwidth, stageCut, stageResources, stageVector},
+// Stage ids index stageFuncs; the refinement memo is keyed on them.
+const (
+	stCut = iota
+	stResources
+	stBandwidth
+	stVector
+	numStages
+)
+
+var stageFuncs = [numStages]stageFunc{stageCut, stageResources, stageBandwidth, stageVector}
+
+// pipelines are the candidate stage orderings compared at each level;
+// each runs every stage once.
+var pipelines = [...][numStages]int{
+	{stCut, stResources, stBandwidth, stVector},
+	{stResources, stVector, stBandwidth, stCut},
+	{stBandwidth, stCut, stResources, stVector},
 }
+
+// maxHistories bounds the distinct effective histories of one level: the
+// empty history plus at most one new history per pipeline step.
+const maxHistories = 1 + len(pipelines)*numStages
 
 // refineWin is the winning candidate of one bestRefinement round.
 type refineWin struct {
@@ -382,76 +411,115 @@ type refineWin struct {
 	extra    evalExtra
 }
 
-// bestRefinement runs every pipeline concurrently, each on its own copy
-// of the projected partition, writes the goodness-best outcome back into
-// parts, and returns the winning candidate's description. Every stage is
-// RNG-free and deterministic, each candidate is scored on its own
-// goroutine (a pure function of the candidate, so concurrency cannot
-// change the values), and the reduction scans candidates in pipeline
-// order with strict-improvement selection (ties keep the earlier
-// pipeline) — bit-identical to the serial loop.
+// bestRefinement finds the goodness-best outcome of the stage pipelines
+// on the projected partition, writes it back into parts, and returns the
+// winning candidate's description. It is exactly the race that runs every
+// pipeline on its own copy of parts and keeps the best, but it runs each
+// distinct stage once.
 //
-// Pipeline i draws its scratch from ws.Child(i), so repeated levels and
-// cycles on the same workspace reuse the same per-pipeline buffers.
-// abandon, when non-nil, is polled between stages: once it fires the
-// pipeline skips its remaining stages (the caller is about to discard
-// the whole cycle). tracing adds cut/excess capture and FM stats to the
-// per-candidate evaluation; with tracing off the scoring is exactly the
-// legacy single-state build.
+// Every stage is a deterministic function of (CSR, parts, cfg), and one
+// that reports zero moves is the identity (see stageFunc). So a state is
+// named by its effective history: the ordered stages that changed it,
+// with the projected input as the empty history. The pipelines are walked
+// in order through a memo of (history, stage) → (history, FM work): a
+// miss runs the stage once on a copy of its history's state, a hit reuses
+// the recorded result. Each distinct final history is scored once, and
+// the reduction scans pipelines in order with strict-improvement
+// selection (ties keep the earlier pipeline), so the winner, its parts,
+// score and FM totals are those of the race. Usually only FM moves
+// anything and all three pipelines end in the one state [cut].
+//
+// The state copies and all stage scratch come from ws.Child(0) and go
+// back before return; the memo itself lives in fixed-size arrays.
+// abandon, when non-nil, is polled before every stage run but the first:
+// once it fires no further stage runs, each pipeline ends at the history
+// it had reached, and the caller is about to discard the whole cycle.
+// tracing adds cut/excess capture and FM totals to the winner.
 func bestRefinement(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, abandon func() bool, tracing bool) refineWin {
-	type scored struct {
+	type step struct {
+		done     bool
+		next     int // history the stage leads to
+		fmPasses int
+		fmMoves  int
+	}
+	type history struct {
 		parts    []int
+		scored   bool
 		score    float64
 		feasible bool
-		fm       refine.Stats
 		extra    evalExtra
 	}
-	cands := make([]scored, len(pipelines))
-	// Children must be materialized before the pool tasks fork: Child
-	// appends to the parent's child list on first use.
-	children := make([]*arena.Workspace, len(pipelines))
-	for i := range pipelines {
-		children[i] = ws.Child(i)
-	}
-	cfg.Pool.Run(len(pipelines), func(i int) {
-		pl, pws := pipelines[i], children[i]
-		cand := append(pws.Ints.Cap(len(parts)), parts...)
-		var fm *refine.Stats
-		if tracing {
-			fm = &cands[i].fm
-		}
-		for si, stage := range pl {
-			if si > 0 && abandon != nil && abandon() {
-				break
+	var (
+		memo    [maxHistories][numStages]step
+		hist    [maxHistories]history
+		final   [len(pipelines)]int // each pipeline's last history
+		reached [len(pipelines)]int // stages each pipeline got through
+	)
+	pws := ws.Child(0)
+	hist[0].parts = parts
+	nHist, ran, stopped := 1, 0, false
+	var work []int
+	for i, pl := range pipelines {
+		h := 0
+		for _, s := range pl {
+			e := &memo[h][s]
+			if !e.done {
+				if stopped || (ran > 0 && abandon != nil && abandon()) {
+					stopped = true
+					break
+				}
+				if work == nil {
+					work = pws.Ints.Cap(len(parts))[:len(parts)]
+				}
+				copy(work, hist[h].parts)
+				moves, fm := stageFuncs[s](csr, work, cfg, pws)
+				ran++
+				*e = step{done: true, next: h, fmPasses: fm.Passes, fmMoves: fm.Moves}
+				if moves > 0 {
+					e.next = nHist
+					hist[nHist].parts = work
+					nHist++
+					work = nil
+				}
 			}
-			stage(csr, cand, cfg, pws, fm)
+			h = e.next
+			reached[i]++
 		}
-		var extra *evalExtra
-		if tracing {
-			extra = &cands[i].extra
-		}
-		score, feasible := cfg.evaluateWS(pws, csr, cand, extra)
-		cands[i].parts = cand
-		cands[i].score = score
-		cands[i].feasible = feasible
-	})
+		final[i] = h
+	}
+	pws.Ints.Put(work)
+
 	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].score < cands[best].score {
+	for i, h := range final {
+		hr := &hist[h]
+		if !hr.scored {
+			var extra *evalExtra
+			if tracing {
+				extra = &hr.extra
+			}
+			hr.score, hr.feasible = cfg.evaluateWS(pws, csr, hr.parts, extra)
+			hr.scored = true
+		}
+		if hr.score < hist[final[best]].score {
 			best = i
 		}
 	}
-	copy(parts, cands[best].parts)
-	win := refineWin{
-		pipeline: best,
-		score:    cands[best].score,
-		feasible: cands[best].feasible,
-		fmPasses: cands[best].fm.Passes,
-		fmMoves:  cands[best].fm.Moves,
-		extra:    cands[best].extra,
+	hb := &hist[final[best]]
+	win := refineWin{pipeline: best, score: hb.score, feasible: hb.feasible, extra: hb.extra}
+	if tracing {
+		h := 0
+		for _, s := range pipelines[best][:reached[best]] {
+			e := memo[h][s]
+			win.fmPasses += e.fmPasses
+			win.fmMoves += e.fmMoves
+			h = e.next
+		}
 	}
-	for i := range cands {
-		ws.Child(i).Ints.Put(cands[i].parts)
+	if final[best] != 0 {
+		copy(parts, hb.parts)
+	}
+	for h := 1; h < nHist; h++ {
+		pws.Ints.Put(hist[h].parts)
 	}
 	return win
 }

@@ -121,8 +121,9 @@ type SeedTrace struct {
 	Stream []stream.IterTrace `json:"stream,omitempty"`
 }
 
-// RefineTrace records the refinement of one hierarchy level: the three
-// competing pipelines' goodness-best candidate.
+// RefineTrace records the refinement of one hierarchy level: the
+// goodness-best outcome of the competing stage pipelines, or of the batch
+// pass.
 type RefineTrace struct {
 	// Level is the hierarchy level (Depth = coarsest, 0 = finest).
 	Level int `json:"level"`

@@ -329,17 +329,3 @@ func (g *Graph) MaxNodeWeight() int64 {
 	}
 	return m
 }
-
-// HeaviestNode returns the node with the largest weight (ties broken by
-// lowest id); it is the seed of the paper's greedy initial partitioner.
-func (g *Graph) HeaviestNode() Node {
-	best := Node(0)
-	var bw int64 = -1
-	for u, w := range g.nodeWeights {
-		if w > bw {
-			bw = w
-			best = Node(u)
-		}
-	}
-	return best
-}

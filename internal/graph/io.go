@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,7 +89,15 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("metis: only ncon=1 supported, got %q", header[3])
 		}
 	}
-	g := New(n)
+	// The graph is built only after all n rows have been read, so a
+	// header that overstates n costs memory proportional to the input,
+	// not to the claimed size.
+	type edge struct {
+		u, v Node
+		w    int64
+	}
+	var weights []int64
+	var edges []edge
 	row := 0
 	for row < n {
 		if !sc.Scan() {
@@ -100,17 +109,18 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		}
 		fields := strings.Fields(line)
 		idx := 0
+		var nw int64 = 1
 		if hasNodeW {
 			if len(fields) == 0 {
 				return nil, fmt.Errorf("metis: row %d missing node weight", row+1)
 			}
-			nw, err := strconv.ParseInt(fields[0], 10, 64)
+			nw, err = strconv.ParseInt(fields[0], 10, 64)
 			if err != nil || nw < 0 {
 				return nil, fmt.Errorf("metis: row %d bad node weight %q", row+1, fields[0])
 			}
-			g.SetNodeWeight(Node(row), nw)
 			idx = 1
 		}
+		weights = append(weights, nw)
 		for idx < len(fields) {
 			v, err := strconv.Atoi(fields[idx])
 			if err != nil || v < 1 || v > n {
@@ -130,15 +140,19 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			}
 			// Each edge appears in both endpoint rows; add it once.
 			if Node(row) < Node(v-1) {
-				if err := g.AddEdge(Node(row), Node(v-1), ew); err != nil {
-					return nil, fmt.Errorf("metis: row %d: %v", row+1, err)
-				}
+				edges = append(edges, edge{Node(row), Node(v - 1), ew})
 			}
 		}
 		row++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	g := NewWithWeights(weights)
+	for _, e := range edges {
+		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+			return nil, fmt.Errorf("metis: row %d: %v", e.u+1, err)
+		}
 	}
 	if g.NumEdges() != m {
 		return nil, fmt.Errorf("metis: header declares %d edges, adjacency has %d", m, g.NumEdges())
@@ -351,7 +365,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("edgelist: malformed header %q", sc.Text())
 	}
 	n, err := strconv.Atoi(head[0])
-	if err != nil || n < 0 {
+	// Node ids are int32, and the nodes are allocated up front.
+	if err != nil || n < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("edgelist: bad node count %q", head[0])
 	}
 	m, err := strconv.Atoi(head[1])

@@ -246,8 +246,7 @@ func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed gra
 }
 
 // heaviest returns the node with the largest weight, ties broken by
-// lowest id (Graph.HeaviestNode's rule); it is the seed of the paper's
-// greedy initial partitioner.
+// lowest id; it is the seed of the paper's greedy initial partitioner.
 func heaviest(nodeW []int64) graph.Node {
 	best := graph.Node(0)
 	var bw int64 = -1
