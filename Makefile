@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet staticcheck race cover bench bench-json \
 	bench-baseline figures report examples clean check fmt-check \
 	fuzz-smoke chaos-smoke determinism-stress perfbench-check \
-	perfbench-smoke serve
+	perfbench-smoke serve loc
 
 all: build vet test
 
@@ -40,6 +40,11 @@ perfbench-smoke:
 	bash perfbench/run.sh --workload gp-batch-100k --seed 1 --seconds 1 --trace 1
 	bash perfbench/run.sh --workload ppn-fanout-replicate --seed 1 --seconds 1 --trace 1
 	bash perfbench/run.sh --workload ppnd-mix --seed 1 --seconds 1 --trace 1
+
+# Non-test Go lines outside the perfbench module: the size figure a
+# change that deletes code quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 # staticcheck is optional locally (CI installs it): skip with a notice
 # when the binary is absent rather than failing the gate.

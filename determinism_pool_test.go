@@ -34,7 +34,6 @@ func TestDeterminismAcrossPoolWidths(t *testing.T) {
 		Seed:        3,
 		MaxCycles:   8,
 		Parallelism: 2,
-		Prune:       engine.PruneOff,
 	}
 	for _, mode := range []struct {
 		name   string

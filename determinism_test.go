@@ -114,8 +114,8 @@ func TestDeterminismLargeInstance(t *testing.T) {
 }
 
 // TestDeterminismGoldenTrace extends the determinism contract to the
-// engine's structured trace: with timing omitted, pruning off, and a
-// pinned parallelism, two identically-seeded runs must serialize to
+// engine's structured trace: with timing omitted and a pinned
+// parallelism, two identically-seeded runs must serialize to
 // byte-identical JSON — every per-level heuristic choice, refinement
 // outcome, and retry decision is part of the reproducible trajectory.
 func TestDeterminismGoldenTrace(t *testing.T) {
@@ -131,7 +131,6 @@ func TestDeterminismGoldenTrace(t *testing.T) {
 		Seed:        3,
 		MaxCycles:   8,
 		Parallelism: 2,
-		Prune:       core.PruneOff,
 	}
 	run := func() []byte {
 		// Wall times vary run to run; OmitTiming zeroes them so the JSON
@@ -262,7 +261,6 @@ func TestDeterminismStreamSeededGoldenTrace(t *testing.T) {
 		Seed:                3,
 		MaxCycles:           8,
 		Parallelism:         2,
-		Prune:               core.PruneOff,
 		StreamSeedThreshold: 1,
 	}
 	run := func() []byte {

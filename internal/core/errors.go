@@ -28,8 +28,6 @@ var (
 	// ErrUnknownHeuristic rejects a MatchHeuristics entry outside the
 	// known set; it also wraps match.ErrUnknownHeuristic.
 	ErrUnknownHeuristic = fmt.Errorf("%w: %w", ErrInvalidOptions, match.ErrUnknownHeuristic)
-	// ErrUnknownPruneMode rejects a Prune value outside the known modes.
-	ErrUnknownPruneMode = fmt.Errorf("%w: unknown prune mode", ErrInvalidOptions)
 	// ErrUnknownRefineMode rejects a Refine value outside the known modes.
 	ErrUnknownRefineMode = fmt.Errorf("%w: unknown refine mode", ErrInvalidOptions)
 	// ErrHeuristicsWithNLevel rejects combining MatchHeuristics with
@@ -38,9 +36,6 @@ var (
 	ErrHeuristicsWithNLevel = fmt.Errorf("%w: MatchHeuristics has no effect with NLevelCoarsening", ErrInvalidOptions)
 	// ErrUnknownAlgorithm rejects an Algo value outside the known set.
 	ErrUnknownAlgorithm = fmt.Errorf("%w: unknown algorithm", ErrInvalidOptions)
-	// ErrBadStreamGamma rejects a StreamGamma below 1 (zero selects the
-	// default 1.5; the penalty must stay convex).
-	ErrBadStreamGamma = fmt.Errorf("%w: StreamGamma must be >= 1", ErrInvalidOptions)
 	// ErrBadRmaxPart rejects a per-part resource-bound table with a
 	// negative entry or more entries than parts (a non-positive entry
 	// falls back to the scalar Rmax, so short tables are fine).
@@ -81,17 +76,11 @@ func (o Options) Validate(g *graph.Graph) error {
 	if o.NLevelCoarsening && len(o.MatchHeuristics) > 0 {
 		return ErrHeuristicsWithNLevel
 	}
-	if !o.Prune.Valid() {
-		return fmt.Errorf("%w (prune mode %d)", ErrUnknownPruneMode, int(o.Prune))
-	}
 	if !o.Refine.Valid() {
 		return fmt.Errorf("%w (refine mode %d)", ErrUnknownRefineMode, int(o.Refine))
 	}
 	if !o.Algo.Valid() {
 		return fmt.Errorf("%w (algorithm %d)", ErrUnknownAlgorithm, int(o.Algo))
-	}
-	if o.StreamGamma != 0 && o.StreamGamma < 1 {
-		return fmt.Errorf("%w (StreamGamma = %v)", ErrBadStreamGamma, o.StreamGamma)
 	}
 	if len(o.Constraints.RmaxPart) > o.K {
 		return fmt.Errorf("%w (%d entries, K = %d)", ErrBadRmaxPart, len(o.Constraints.RmaxPart), o.K)

@@ -9,8 +9,8 @@ type RefineMode = engine.RefineMode
 
 const (
 	// RefineAuto (the default) uses the data-parallel batch pass on
-	// levels with at least BatchRefineThreshold nodes and the serial
-	// competing pipelines below it.
+	// levels with at least 50 000 nodes and the serial competing
+	// pipelines below it.
 	RefineAuto = engine.RefineAuto
 	// RefineSerial always runs the serial competing pipelines.
 	RefineSerial = engine.RefineSerial

@@ -13,14 +13,13 @@ import (
 // partitionStream runs the AlgoStream fast path: a single streaming pass
 // plus restreaming refinement, no multilevel hierarchy. Options already
 // validated; stream defaulting applies (StreamIterations 0 → 8,
-// StreamGamma 0 → 1.5, Parallelism 0 → GOMAXPROCS). The vertex stream is
+// Parallelism 0 → GOMAXPROCS). The vertex stream is
 // the natural id order — deterministic for a fixed Seed and input graph.
 func partitionStream(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	start := time.Now()
 	sres, err := stream.PartitionCtx(ctx, g, stream.Options{
 		K:             opts.K,
 		Constraints:   opts.Constraints,
-		Gamma:         opts.StreamGamma,
 		MaxIterations: opts.StreamIterations,
 		Workers:       opts.Parallelism,
 		Seed:          opts.Seed,

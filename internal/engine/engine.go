@@ -58,7 +58,8 @@ type Config struct {
 	RefinePasses int
 	// Refine selects the per-level refinement strategy: RefineAuto
 	// (default) uses the data-parallel batch pass on levels with at least
-	// BatchThreshold nodes and the serial pipelines below.
+	// BatchThreshold nodes (50 000 by default) and the serial pipelines
+	// below.
 	Refine RefineMode
 	// BatchThreshold is the level node count at and above which RefineAuto
 	// selects the batch pass (default 50000).
@@ -94,8 +95,6 @@ type Config struct {
 	Pool *pool.Pool
 	// Seed makes the run reproducible (default 1).
 	Seed int64
-	// Prune controls shared-incumbent pruning across parallel cycles.
-	Prune PruneMode
 	// VectorResources/VectorConstraints engage the multi-resource
 	// extension (finest level only).
 	VectorResources   [][]int64
@@ -286,9 +285,6 @@ type Cycle struct {
 	CSR *graph.CSR
 	// Parts is the current level's assignment.
 	Parts []int
-	// LevelScore is the goodness of the latest refined level (+Inf before
-	// the first refinement); aggressive pruning consults it.
-	LevelScore float64
 
 	// Feasible/Goodness score the finished cycle (set by the solver
 	// before PhaseRetry runs); StopSearch is PhaseRetry's verdict.
@@ -307,7 +303,7 @@ func (cy *Cycle) Trace() *CycleTrace { return cy.trace }
 
 // abandon polls the shared incumbent.
 func (cy *Cycle) abandon() bool {
-	return cy.inc.shouldAbandon(cy.Cfg, cy.Index, cy.LevelScore)
+	return cy.inc.shouldAbandon(cy.Cfg, cy.Index)
 }
 
 // now reads the clock only when per-stage timing is on.
@@ -481,10 +477,10 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 				continue
 			}
 			// With MinimizeAfterFeasible a perfect (goodness-0) lower
-			// cycle prunes every later one (see PruneDeterministic).
-			// Whether this cycle saw that incumbent mid-flight depends on
-			// timing, so the reduction applies the rule itself.
-			if c.pruned || (cfg.Prune != PruneOff && best.feasible && best.goodness == 0) {
+			// cycle prunes every later one (see shouldAbandon). Whether
+			// this cycle saw that incumbent mid-flight depends on timing,
+			// so the reduction applies the rule itself.
+			if c.pruned || (best.feasible && best.goodness == 0) {
 				// A pruned cycle would have completed with a result the
 				// reduction discards, so it still counts as executed.
 				tr.commit(c.trace.stub(true))
@@ -546,14 +542,13 @@ func (s *Solver) runCycle(ctx context.Context, fcsr *graph.CSR, cycle int, inc *
 		}
 	}()
 	cy := &Cycle{
-		Ctx:        ctx,
-		Cfg:        &s.cfg,
-		CSR:        fcsr,
-		Index:      cycle,
-		RNG:        rng,
-		WS:         ws,
-		LevelScore: math.Inf(1),
-		inc:        inc,
+		Ctx:   ctx,
+		Cfg:   &s.cfg,
+		CSR:   fcsr,
+		Index: cycle,
+		RNG:   rng,
+		WS:    ws,
+		inc:   inc,
 	}
 	if tr != nil {
 		cy.trace = &CycleTrace{Cycle: cycle}

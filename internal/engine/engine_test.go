@@ -85,7 +85,6 @@ func TestRetryPathForcedInfeasible(t *testing.T) {
 				Seed:             5,
 				MaxCycles:        8,
 				Parallelism:      1,
-				Prune:            PruneOff,
 				NLevelCoarsening: tc.nlevel,
 			})
 			s.SetStage(degenerateSeed{inner: s.Stage(PhaseInitialPartition), until: until})
@@ -180,7 +179,7 @@ func TestSolveMidCycleCancellationProjectsBestEffort(t *testing.T) {
 	g := testGraph(t, 300, 900, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := New(Config{K: 4, Seed: 5, MaxCycles: 8, Parallelism: 1, Prune: PruneOff})
+	s := New(Config{K: 4, Seed: 5, MaxCycles: 8, Parallelism: 1})
 	s.SetStage(cancellingRefine{inner: s.Stage(PhaseRefine), cancel: cancel})
 
 	tr := &Trace{}

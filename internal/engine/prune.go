@@ -5,57 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// PruneMode selects how parallel GP cycles prune against the shared
-// incumbent (the best feasible result published so far).
-type PruneMode int
-
-const (
-	// PruneDeterministic (the default) abandons a cycle only on bounds
-	// whose eventual outcome is independent of sibling timing: the
-	// pruned cycle's result is provably discarded by the deterministic
-	// reduction no matter when the incumbent was published, so results
-	// stay bit-identical to a serial run. Concretely: without
-	// MinimizeAfterFeasible, a cycle is pruned once a lower-indexed
-	// cycle has completed feasible (the reduction stops at the lowest
-	// feasible cycle, so every higher cycle is discarded anyway); with
-	// MinimizeAfterFeasible, only a perfect incumbent (goodness 0) from
-	// a lower cycle prunes, since no later cycle can beat it or win its
-	// tie-break.
-	PruneDeterministic PruneMode = iota
-	// PruneOff never abandons cycles.
-	PruneOff
-	// PruneAggressive additionally abandons a cycle when a lower-indexed
-	// cycle's completed feasible goodness already beats the cycle's
-	// current level score. Level scores can still improve at finer
-	// levels, so this can discard cycles a full run would have kept —
-	// faster, but the chosen partition may vary between runs with
-	// MinimizeAfterFeasible.
-	PruneAggressive
-)
-
-// String names the mode.
-func (p PruneMode) String() string {
-	switch p {
-	case PruneDeterministic:
-		return "deterministic"
-	case PruneOff:
-		return "off"
-	case PruneAggressive:
-		return "aggressive"
-	default:
-		return "prune(?)"
-	}
-}
-
-// Valid reports whether p names a known mode.
-func (p PruneMode) Valid() bool {
-	switch p {
-	case PruneDeterministic, PruneOff, PruneAggressive:
-		return true
-	}
-	return false
-}
-
 // incumbentRec is one published feasible completion.
 type incumbentRec struct {
 	goodness float64
@@ -64,8 +13,11 @@ type incumbentRec struct {
 
 // incumbent is the shared-state half of cross-cycle pruning: completed
 // feasible cycles publish here, running cycles consult it between
-// refinement stages. All access is atomic; publication order does not
-// affect deterministic-mode outcomes (see PruneDeterministic).
+// refinement stages. All access is atomic. A cycle is abandoned only on
+// bounds whose eventual outcome is independent of sibling timing: the
+// pruned cycle's result is provably discarded by the deterministic
+// reduction no matter when the incumbent was published, so results stay
+// bit-identical to a serial run (see shouldAbandon).
 type incumbent struct {
 	// feasibleAt is the lowest cycle index that completed feasible, or
 	// math.MaxInt64 before any did.
@@ -101,27 +53,20 @@ func (inc *incumbent) publish(cycle int, goodness float64) {
 	}
 }
 
-// shouldAbandon reports whether the cycle may stop refining now.
-// levelScore is the cycle's most recent level goodness (+Inf when none
-// yet); it is only consulted in aggressive mode.
-func (inc *incumbent) shouldAbandon(cfg *Config, cycle int, levelScore float64) bool {
-	if inc == nil || cfg.Prune == PruneOff {
+// shouldAbandon reports whether the cycle may stop refining now. Both
+// rules are exact: without MinimizeAfterFeasible a cycle is pruned once
+// a lower-indexed cycle has completed feasible (the reduction stops at
+// the lowest feasible cycle, so every higher cycle is discarded anyway);
+// with MinimizeAfterFeasible only a perfect incumbent (goodness 0) from a
+// lower cycle prunes, since no later cycle can beat it or win its
+// tie-break.
+func (inc *incumbent) shouldAbandon(cfg *Config, cycle int) bool {
+	if inc == nil {
 		return false
 	}
 	if !cfg.MinimizeAfterFeasible {
-		// The reduction keeps only cycles up to the lowest feasible
-		// index; once a lower cycle completed feasible, this cycle's
-		// result is discarded regardless of what it produces.
 		return inc.feasibleAt.Load() < int64(cycle)
 	}
 	rec := inc.best.Load()
-	if rec == nil || rec.cycle >= cycle {
-		return false
-	}
-	if rec.goodness == 0 {
-		// A perfect lower-cycle incumbent: goodness is never negative
-		// and ties go to the lower cycle, so this cycle cannot win.
-		return true
-	}
-	return cfg.Prune == PruneAggressive && rec.goodness < levelScore
+	return rec != nil && rec.cycle < cycle && rec.goodness == 0
 }

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestPruneModeStringAndValid(t *testing.T) {
-	cases := []struct {
-		mode  PruneMode
-		name  string
-		valid bool
-	}{
-		{PruneDeterministic, "deterministic", true},
-		{PruneOff, "off", true},
-		{PruneAggressive, "aggressive", true},
-		{PruneMode(42), "prune(?)", false},
-	}
-	for _, c := range cases {
-		if got := c.mode.String(); got != c.name {
-			t.Errorf("PruneMode(%d).String() = %q, want %q", int(c.mode), got, c.name)
-		}
-		if got := c.mode.Valid(); got != c.valid {
-			t.Errorf("PruneMode(%d).Valid() = %v, want %v", int(c.mode), got, c.valid)
-		}
-	}
-}
-
 func TestIncumbentPublishKeepsMinFeasibleAndBest(t *testing.T) {
 	inc := newIncumbent()
 	if got := inc.feasibleAt.Load(); got != math.MaxInt64 {
@@ -60,37 +39,31 @@ func TestShouldAbandonPerMode(t *testing.T) {
 		inc.publish(cycle, goodness)
 		return inc
 	}
-	det := &Config{Prune: PruneDeterministic}
-	detMin := &Config{Prune: PruneDeterministic, MinimizeAfterFeasible: true}
-	agg := &Config{Prune: PruneAggressive, MinimizeAfterFeasible: true}
-	off := &Config{Prune: PruneOff}
+	det := &Config{}
+	detMin := &Config{MinimizeAfterFeasible: true}
 
 	cases := []struct {
-		name       string
-		inc        *incumbent
-		cfg        *Config
-		cycle      int
-		levelScore float64
-		want       bool
+		name  string
+		inc   *incumbent
+		cfg   *Config
+		cycle int
+		want  bool
 	}{
-		{"off never", firstFeasible(0, 5), off, 9, 100, false},
-		{"no incumbent", newIncumbent(), det, 9, 100, false},
-		{"stop-at-first: higher cycle pruned", firstFeasible(2, 5), det, 3, 100, true},
-		{"stop-at-first: same cycle kept", firstFeasible(2, 5), det, 2, 100, false},
-		{"stop-at-first: lower cycle kept", firstFeasible(2, 5), det, 1, 100, false},
-		{"minimize: imperfect incumbent keeps cycle", firstFeasible(0, 5), detMin, 3, 100, false},
-		{"minimize: perfect incumbent prunes", firstFeasible(0, 0), detMin, 3, 100, true},
-		{"minimize: perfect incumbent from higher cycle kept", firstFeasible(5, 0), detMin, 3, 100, false},
-		{"aggressive: incumbent beats level score", firstFeasible(0, 5), agg, 3, 100, true},
-		{"aggressive: level score still ahead", firstFeasible(0, 5), agg, 3, 2, false},
+		{"no incumbent", newIncumbent(), det, 9, false},
+		{"stop-at-first: higher cycle pruned", firstFeasible(2, 5), det, 3, true},
+		{"stop-at-first: same cycle kept", firstFeasible(2, 5), det, 2, false},
+		{"stop-at-first: lower cycle kept", firstFeasible(2, 5), det, 1, false},
+		{"minimize: imperfect incumbent keeps cycle", firstFeasible(0, 5), detMin, 3, false},
+		{"minimize: perfect incumbent prunes", firstFeasible(0, 0), detMin, 3, true},
+		{"minimize: perfect incumbent from higher cycle kept", firstFeasible(5, 0), detMin, 3, false},
 	}
 	for _, c := range cases {
-		if got := c.inc.shouldAbandon(c.cfg, c.cycle, c.levelScore); got != c.want {
+		if got := c.inc.shouldAbandon(c.cfg, c.cycle); got != c.want {
 			t.Errorf("%s: shouldAbandon = %v, want %v", c.name, got, c.want)
 		}
 	}
 	var nilInc *incumbent
-	if nilInc.shouldAbandon(det, 5, 0) {
+	if nilInc.shouldAbandon(det, 5) {
 		t.Error("nil incumbent must never abandon")
 	}
 }

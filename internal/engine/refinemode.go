@@ -7,8 +7,8 @@ type RefineMode int
 
 const (
 	// RefineAuto (the default) picks the data-parallel batch pass on
-	// levels with at least Config.BatchThreshold nodes and the serial
-	// competing pipelines below it.
+	// levels with at least Config.BatchThreshold nodes (50 000 by
+	// default) and the serial competing pipelines below it.
 	RefineAuto RefineMode = iota
 	// RefineSerial always runs the serial competing pipelines.
 	RefineSerial

@@ -60,12 +60,46 @@ func scheduleFree(t *testing.T, tr *Trace) string {
 	return string(b)
 }
 
+// referenceNoPrune is the search with pruning taken out: every cycle
+// runs to completion through runCycle with its own fresh incumbent, so no
+// other cycle's result is visible to it and nothing abandons, and the
+// serial reduction then walks the cycles in order — strict goodness
+// improvement, ties to the lower cycle — until the retry phase stops the
+// search. Solve's exact pruning rules must reproduce its outcome.
+func referenceNoPrune(s *Solver, g *graph.Graph) *Outcome {
+	ctx := context.Background()
+	fcsr := g.ToCSR()
+	out := &Outcome{BestCycle: -1}
+	for cycle := 0; cycle < s.cfg.MaxCycles; cycle++ {
+		c := s.runCycle(ctx, fcsr, cycle, newIncumbent(), nil)
+		out.CyclesRun++
+		if out.BestCycle < 0 || c.goodness < out.Goodness {
+			out.Parts, out.Goodness, out.Feasible, out.BestCycle = c.parts, c.goodness, c.feasible, cycle
+		}
+		rc := &Cycle{Ctx: ctx, Cfg: &s.cfg, Index: cycle, Feasible: c.feasible, Goodness: c.goodness}
+		s.runStage(rc, PhaseRetry)
+		if rc.StopSearch {
+			break
+		}
+	}
+	return out
+}
+
+// sameOutcome reports whether two outcomes agree on everything the
+// reduction decides.
+func sameOutcome(a, b *Outcome) bool {
+	return reflect.DeepEqual(a.Parts, b.Parts) && a.Goodness == b.Goodness &&
+		a.Feasible == b.Feasible && a.CyclesRun == b.CyclesRun && a.BestCycle == b.BestCycle
+}
+
 // TestScheduleDifferential crosses batch widths 1, 2 and 4 with
-// MinimizeAfterFeasible on and off, pruning on and off, and three search
-// shapes: cycle 0 feasible, cycles 0–2 forced infeasible (the retry
-// test's degenerate seed), and a perfect cycle-0 incumbent that prunes
-// every later cycle. Every width must give the same Outcome and the same
-// OmitTiming trace.
+// MinimizeAfterFeasible on and off and three search shapes: cycle 0
+// feasible, cycles 0–2 forced infeasible (the retry test's degenerate
+// seed), and a perfect cycle-0 incumbent that prunes every later cycle.
+// Under prune=deterministic every width must give the same Outcome and
+// the same OmitTiming trace. Under prune=off every width must give the
+// Outcome of referenceNoPrune, which never abandons a cycle: pruning only
+// ever drops results the reduction would discard.
 func TestScheduleDifferential(t *testing.T) {
 	const forcedUntil = 3
 	g := testGraph(t, 300, 900, 33)
@@ -85,51 +119,70 @@ func TestScheduleDifferential(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		for _, minimize := range []bool{false, true} {
-			for _, prune := range []PruneMode{PruneDeterministic, PruneOff} {
-				name := fmt.Sprintf("%s/minimize=%v/prune=%v", sh.name, minimize, prune)
-				t.Run(name, func(t *testing.T) {
-					var ref *Outcome
-					var refTrace string
-					for _, par := range []int{1, 2, 4} {
-						s := New(Config{
-							K:                     4,
-							Constraints:           sh.cons,
-							Seed:                  5,
-							MaxCycles:             8,
-							Parallelism:           par,
-							Prune:                 prune,
-							MinimizeAfterFeasible: minimize,
-						})
-						if sh.forced {
-							s.SetStage(degenerateSeed{inner: s.Stage(PhaseInitialPartition), until: forcedUntil})
-							s.SetStage(gatedRefine{inner: s.Stage(PhaseRefine), until: forcedUntil})
-						}
-						tr := &Trace{OmitTiming: true}
-						out := s.Solve(context.Background(), sh.g, tr)
-						got := scheduleFree(t, tr)
-						if ref == nil {
-							ref, refTrace = out, got
-							if sh.name == "perfect" && (out.BestCycle != 0 || out.Goodness != 0 || !out.Feasible) {
-								t.Fatalf("cycle 0 is not a perfect incumbent (%+v); the case prunes nothing", out)
-							}
-							continue
-						}
-						if !reflect.DeepEqual(out.Parts, ref.Parts) || out.Goodness != ref.Goodness ||
-							out.Feasible != ref.Feasible || out.CyclesRun != ref.CyclesRun ||
-							out.BestCycle != ref.BestCycle {
-							t.Fatalf("parallelism %d outcome {feasible %v goodness %v cycles %d best %d} differs from parallelism 1 {%v %v %d %d}",
-								par, out.Feasible, out.Goodness, out.CyclesRun, out.BestCycle,
-								ref.Feasible, ref.Goodness, ref.CyclesRun, ref.BestCycle)
-						}
-						if got != refTrace {
-							t.Fatalf("parallelism %d trace differs from parallelism 1:\n%s\nvs\n%s", par, got, refTrace)
-						}
-					}
-					if sh.forced && ref.BestCycle < forcedUntil {
-						t.Fatalf("best cycle %d is a forced-infeasible one", ref.BestCycle)
-					}
+			solver := func(par int) *Solver {
+				s := New(Config{
+					K:                     4,
+					Constraints:           sh.cons,
+					Seed:                  5,
+					MaxCycles:             8,
+					Parallelism:           par,
+					MinimizeAfterFeasible: minimize,
 				})
+				if sh.forced {
+					s.SetStage(degenerateSeed{inner: s.Stage(PhaseInitialPartition), until: forcedUntil})
+					s.SetStage(gatedRefine{inner: s.Stage(PhaseRefine), until: forcedUntil})
+				}
+				return s
 			}
+			t.Run(fmt.Sprintf("%s/minimize=%v/prune=deterministic", sh.name, minimize), func(t *testing.T) {
+				var ref *Outcome
+				var refTrace string
+				for _, par := range []int{1, 2, 4} {
+					tr := &Trace{OmitTiming: true}
+					out := solver(par).Solve(context.Background(), sh.g, tr)
+					got := scheduleFree(t, tr)
+					if ref == nil {
+						ref, refTrace = out, got
+						if sh.name == "perfect" && (out.BestCycle != 0 || out.Goodness != 0 || !out.Feasible) {
+							t.Fatalf("cycle 0 is not a perfect incumbent (%+v); the case prunes nothing", out)
+						}
+						continue
+					}
+					if !sameOutcome(out, ref) {
+						t.Fatalf("parallelism %d outcome {feasible %v goodness %v cycles %d best %d} differs from parallelism 1 {%v %v %d %d}",
+							par, out.Feasible, out.Goodness, out.CyclesRun, out.BestCycle,
+							ref.Feasible, ref.Goodness, ref.CyclesRun, ref.BestCycle)
+					}
+					if got != refTrace {
+						t.Fatalf("parallelism %d trace differs from parallelism 1:\n%s\nvs\n%s", par, got, refTrace)
+					}
+				}
+				if sh.forced && ref.BestCycle < forcedUntil {
+					t.Fatalf("best cycle %d is a forced-infeasible one", ref.BestCycle)
+				}
+			})
+			t.Run(fmt.Sprintf("%s/minimize=%v/prune=off", sh.name, minimize), func(t *testing.T) {
+				ref := referenceNoPrune(solver(1), sh.g)
+				if sh.name == "feasible" && minimize {
+					// A rule that pruned on any lower feasible incumbent,
+					// not only a perfect one, would drop the best cycle.
+					if ref.BestCycle <= 0 || ref.Goodness == 0 {
+						t.Fatalf("reference best cycle %d (goodness %v): the case needs an imperfect feasible cycle 0 beaten later",
+							ref.BestCycle, ref.Goodness)
+					}
+					if c0 := solver(1).runCycle(context.Background(), sh.g.ToCSR(), 0, newIncumbent(), nil); !c0.feasible {
+						t.Fatal("cycle 0 is infeasible; the case prunes nothing under minimize")
+					}
+				}
+				for _, par := range []int{1, 2, 4} {
+					out := solver(par).Solve(context.Background(), sh.g, nil)
+					if !sameOutcome(out, ref) {
+						t.Fatalf("parallelism %d outcome {feasible %v goodness %v cycles %d best %d} differs from the no-prune reference {%v %v %d %d}",
+							par, out.Feasible, out.Goodness, out.CyclesRun, out.BestCycle,
+							ref.Feasible, ref.Goodness, ref.CyclesRun, ref.BestCycle)
+					}
+				}
+			})
 		}
 	}
 }
@@ -166,7 +219,7 @@ func TestFeasibleCycleZeroRunsAlone(t *testing.T) {
 	} {
 		var n atomic.Int32
 		s := New(Config{K: 4, Constraints: cons, Seed: 9, MaxCycles: 4, Parallelism: 4,
-			Prune: PruneOff, MinimizeAfterFeasible: tc.minimize})
+			MinimizeAfterFeasible: tc.minimize})
 		s.SetStage(countingStage{inner: s.Stage(PhaseCoarsen), n: &n})
 		out := s.Solve(context.Background(), g, nil)
 		if !tc.minimize && (!out.Feasible || out.BestCycle != 0) {

@@ -204,7 +204,6 @@ func (refineStage) Run(cy *Cycle) error {
 	} else {
 		win = bestRefinement(cy.CSR, cy.Parts, cy.Cfg, cy.WS, cy.abandon, cy.trace != nil)
 	}
-	cy.LevelScore = win.score
 	if ct := cy.trace; ct != nil {
 		ct.Refines = append(ct.Refines, RefineTrace{
 			Level:           cy.Level,

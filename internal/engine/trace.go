@@ -35,12 +35,11 @@ type Trace struct {
 
 // TraceData is the decoded (wire) form of a trace.
 type TraceData struct {
-	// Seed, K and Prune echo the search configuration. The batch width
+	// Seed and K echo the search configuration. The batch width
 	// (Parallelism) is left out: a trace describes the search, not the
 	// schedule it ran on.
-	Seed  int64  `json:"seed"`
-	K     int    `json:"k"`
-	Prune string `json:"prune"`
+	Seed int64 `json:"seed"`
+	K    int   `json:"k"`
 	// Cycles holds one record per GP cycle that started, in cycle order
 	// (pruned and overshoot cycles as stubs; see CycleTrace.stub).
 	Cycles []*CycleTrace `json:"cycles"`
@@ -220,9 +219,8 @@ func (tr *Trace) begin(cfg *Config) {
 	}
 	tr.mu.Lock()
 	tr.data = TraceData{
-		Seed:  cfg.Seed,
-		K:     cfg.K,
-		Prune: cfg.Prune.String(),
+		Seed: cfg.Seed,
+		K:    cfg.K,
 	}
 	tr.mu.Unlock()
 }
@@ -278,6 +276,17 @@ func (tr *Trace) JSON() ([]byte, error) {
 func DecodeTrace(b []byte) (*TraceData, error) {
 	var d TraceData
 	if err := strictUnmarshal(b, &d); err != nil {
+		return nil, fmt.Errorf("engine: invalid trace: %w", err)
+	}
+	// The encoder omits empty lists, so a document that spells one out
+	// ("levels": []) would decode to a value its own encoding does not
+	// give back. One re-encode maps it to that canonical form.
+	canon, err := json.Marshal(&d)
+	if err != nil {
+		return nil, fmt.Errorf("engine: invalid trace: %w", err)
+	}
+	d = TraceData{}
+	if err := json.Unmarshal(canon, &d); err != nil {
 		return nil, fmt.Errorf("engine: invalid trace: %w", err)
 	}
 	return &d, nil

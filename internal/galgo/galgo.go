@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/initpart"
 	"ppnpart/internal/metrics"
@@ -114,6 +115,14 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
+	// One CSR snapshot and one workspace serve every seeding and memetic
+	// pass of the run. Seeded individuals are backed by ws memory; the
+	// returned partition is a heap copy (clone), so nothing escapes the
+	// workspace's return.
+	csr := g.ToCSR()
+	ws := arena.Get()
+	defer arena.Put(ws)
+	rmaxOnly := metrics.Constraints{Rmax: opts.Constraints.Rmax}
 
 	evalFit := func(parts []int) float64 {
 		return metrics.Goodness(g, parts, opts.K, opts.Constraints)
@@ -122,9 +131,9 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if opts.DisableMemetic {
 			return
 		}
-		refine.KWayFM(g, parts, opts.K, opts.Constraints.Rmax, 2)
-		refine.RebalanceResources(g, parts, opts.K, opts.Constraints.Rmax, 2)
-		refine.RepairBandwidth(g, parts, opts.K, opts.Constraints, 2)
+		refine.KWayFMWS(ws, csr, parts, opts.K, rmaxOnly, 2)
+		refine.RebalanceResourcesWS(ws, csr, parts, opts.K, rmaxOnly, 2)
+		refine.RepairBandwidthWS(ws, csr, parts, opts.K, opts.Constraints, 2)
 	}
 
 	// Seed the population: a few greedy individuals for quality, the rest
@@ -134,12 +143,12 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		var parts []int
 		var err error
 		if i < 4 {
-			parts, err = initpart.GreedyGrow(g, initpart.GreedyOptions{
+			parts, err = initpart.GreedyGrowWS(ws, csr, initpart.GreedyOptions{
 				K: opts.K, Rmax: opts.Constraints.Rmax, Restarts: 2,
 				Constraints: opts.Constraints,
 			}, rng)
 		} else {
-			parts, err = initpart.RandomPartition(g, opts.K, rng)
+			parts, err = initpart.RandomPartitionWS(ws, csr, opts.K, rng)
 		}
 		if err != nil {
 			return nil, err

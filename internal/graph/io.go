@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -353,6 +352,13 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// maxEdgeListNodes caps an edge list's header node count. The nodes are
+// allocated up front (about 32 bytes each) and isolated nodes are legal,
+// so a short input can claim any n; the cap, four times the largest
+// graph the scalability sweep builds, keeps a hostile or corrupt header
+// from claiming gigabytes.
+const maxEdgeListNodes = 1 << 22
+
 // ReadEdgeList parses the edge-list format written by WriteEdgeList.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -365,9 +371,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("edgelist: malformed header %q", sc.Text())
 	}
 	n, err := strconv.Atoi(head[0])
-	// Node ids are int32, and the nodes are allocated up front.
-	if err != nil || n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("edgelist: bad node count %q", head[0])
+	if err != nil || n < 0 || n > maxEdgeListNodes {
+		return nil, fmt.Errorf("edgelist: bad node count %q (limit %d)", head[0], maxEdgeListNodes)
 	}
 	m, err := strconv.Atoi(head[1])
 	if err != nil || m < 0 {

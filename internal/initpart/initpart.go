@@ -21,7 +21,7 @@ import (
 // Unassigned marks a node not yet placed by the greedy grower.
 const Unassigned = -1
 
-// GreedyOptions configures GreedyGrow.
+// GreedyOptions configures GreedyGrowWS.
 type GreedyOptions struct {
 	// K is the number of partitions. Required.
 	K int
@@ -43,23 +43,17 @@ func (o GreedyOptions) withDefaults() GreedyOptions {
 	return o
 }
 
-// GreedyGrow implements the paper's initial partitioning: start from the
-// heaviest node, grow the first partition by absorbing neighbors while
-// Rmax permits, then grow the remaining partitions the same way; place
-// leftovers best-fit by free space, force-place if nothing fits, then run
-// an FM-based bandwidth repair. The whole procedure is repeated Restarts
-// times with random seeds and the goodness-best assignment wins.
-func GreedyGrow(g *graph.Graph, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return GreedyGrowWS(ws, g.ToCSR(), opts, rng)
-}
-
-// GreedyGrowWS is GreedyGrow on a CSR graph with every restart's
-// assignment, resource totals, frontier tables, repair state, and
-// scoring state drawn from ws; one frontier serves all grows of all
-// restarts (it drains to empty after every grow, so reuse needs no
-// clearing). The winning assignment is returned still backed by ws
+// GreedyGrowWS implements the paper's initial partitioning: start from
+// the heaviest node, grow the first partition by absorbing neighbors
+// while Rmax permits, then grow the remaining partitions the same way;
+// place leftovers best-fit by free space, force-place if nothing fits,
+// then run an FM-based bandwidth repair. The whole procedure is repeated
+// Restarts times with random seeds and the goodness-best assignment wins.
+//
+// It reads a CSR graph and draws every restart's assignment, resource
+// totals, frontier tables, repair state, and scoring state from ws; one
+// frontier serves all grows of all restarts (it drains to empty after
+// every grow, so reuse needs no clearing). The winning assignment is returned still backed by ws
 // memory: callers that outlive the workspace must copy it, callers that
 // share the workspace (the GP cycle) may keep it and Put it back when
 // done.
@@ -445,20 +439,13 @@ func (f *frontier) popMaxHeap() graph.Node {
 	}
 }
 
-// RandomPartition assigns every node uniformly at random, then repairs
+// RandomPartitionWS assigns every node uniformly at random, then repairs
 // empty parts. The simplest seeding; used by the cyclic re-partitioning
 // step of the paper's un-coarsening phase ("we go back to coarsening
-// phase and then partitioning phase (randomly), cyclically").
-func RandomPartition(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RandomPartitionWS(ws, g.ToCSR(), k, rng)
-}
-
-// RandomPartitionWS is RandomPartition on a CSR graph with the
-// assignment drawn from ws.Ints. The returned buffer is never released
-// back to ws, so it safely outlives the workspace's return to the pool
-// (the same escape pattern as GreedyGrowWS).
+// phase and then partitioning phase (randomly), cyclically"). It reads a
+// CSR graph and draws the assignment from ws.Ints. The returned buffer is
+// never released back to ws, so it safely outlives the workspace's return
+// to the pool (the same escape pattern as GreedyGrowWS).
 func RandomPartitionWS(ws *arena.Workspace, csr *graph.CSR, k int, rng *rand.Rand) ([]int, error) {
 	n := csr.NumNodes()
 	if k <= 0 {
@@ -480,6 +467,19 @@ func RandomPartitionWS(ws *arena.Workspace, csr *graph.CSR, k int, rng *rand.Ran
 // resources. k need not be a power of two: each split allocates part ids
 // proportionally.
 func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
+	return recursiveKWay(g, k, rng, growBisection)
+}
+
+// bisector seeds a 2-way split of sub (side 0 / side 1) whose side 0
+// should carry about targetLeft of its resources; recursiveKWay
+// FM-refines the seed.
+type bisector func(sub *graph.Graph, targetLeft int64, rng *rand.Rand) []int
+
+// recursiveKWay is the recursive k-way partitioner shared by
+// RecursiveBisect and SpectralKWay: split the node set into kLeft+kRight
+// shares with seed, refine each split with FM, recurse, then repair
+// empty parts and rebalance to the ideal share.
+func recursiveKWay(g *graph.Graph, k int, rng *rand.Rand, seed bisector) ([]int, error) {
 	n := g.NumNodes()
 	if k <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", k)
@@ -492,7 +492,7 @@ func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 	for i := range nodes {
 		nodes[i] = graph.Node(i)
 	}
-	recursiveBisect(g, nodes, 0, k, parts, rng)
+	splitKWay(g, nodes, 0, k, parts, rng, seed)
 	fixEmptyParts(g.NodeWeights(), parts, k)
 	rebalanceToIdeal(g, parts, k)
 	return parts, nil
@@ -502,12 +502,14 @@ func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 // the balance a k-way seeder is expected to deliver.
 func rebalanceToIdeal(g *graph.Graph, parts []int, k int) {
 	bound := g.TotalNodeWeight()/int64(k) + g.MaxNodeWeight()
-	refine.RebalanceResources(g, parts, k, bound, 8)
+	ws := arena.Get()
+	defer arena.Put(ws)
+	refine.RebalanceResourcesWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: bound}, 8)
 }
 
-// recursiveBisect splits the node set into kLeft+kRight shares and
-// recurses; base case assigns the whole set to one part id.
-func recursiveBisect(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand) {
+// splitKWay splits the node set into kLeft+kRight shares and recurses;
+// base case assigns the whole set to one part id.
+func splitKWay(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand, seed bisector) {
 	if k == 1 {
 		for _, u := range nodes {
 			parts[u] = firstPart
@@ -520,10 +522,9 @@ func recursiveBisect(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts
 	// Target share of resources proportional to part counts.
 	total := sub.TotalNodeWeight()
 	targetLeft := total * int64(kLeft) / int64(k)
-	bi := growBisection(sub, targetLeft, rng)
+	bi := seed(sub, targetLeft, rng)
 	// Refine with FM under a resource bound with slack.
-	slack := sub.MaxNodeWeight()
-	bound := maxI64(targetLeft, total-targetLeft) + slack
+	bound := maxI64(targetLeft, total-targetLeft) + sub.MaxNodeWeight()
 	refine.FMBisect(sub, bi, bound, 6)
 	var left, right []graph.Node
 	for i, u := range nodes {
@@ -542,8 +543,8 @@ func recursiveBisect(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts
 		right = append(right, left[len(left)-1])
 		left = left[:len(left)-1]
 	}
-	recursiveBisect(g, left, firstPart, kLeft, parts, rng)
-	recursiveBisect(g, right, firstPart+kLeft, kRight, parts, rng)
+	splitKWay(g, left, firstPart, kLeft, parts, rng, seed)
+	splitKWay(g, right, firstPart+kLeft, kRight, parts, rng, seed)
 }
 
 // growBisection seeds side 0 from a random node and BFS-grows it until the

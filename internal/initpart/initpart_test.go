@@ -295,8 +295,8 @@ func TestPropertyAllSeedersProduceValidPartitions(t *testing.T) {
 		n := 10 + rng.Intn(60)
 		g := randomConnected(rng, n)
 		k := 2 + rng.Intn(5)
-		pg, err1 := GreedyGrow(g, GreedyOptions{K: k, Restarts: 3}, rng)
-		pr, err2 := RandomPartition(g, k, rng)
+		pg, err1 := greedy(g, GreedyOptions{K: k, Restarts: 3}, rng)
+		pr, err2 := RandomPartitionWS(&arena.Workspace{}, g.ToCSR(), k, rng)
 		pb, err3 := RecursiveBisect(g, k, rng)
 		ps, err4 := SpectralKWay(g, k, rng)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
@@ -322,7 +322,7 @@ func TestPropertyGreedyPrefersFeasibleUnderLooseConstraints(t *testing.T) {
 		g := randomConnected(rng, 10+rng.Intn(40))
 		k := 2 + rng.Intn(3)
 		c := metrics.Constraints{Bmax: 1 << 40, Rmax: g.TotalNodeWeight()}
-		parts, err := GreedyGrow(g, GreedyOptions{K: k, Restarts: 3, Constraints: c}, rng)
+		parts, err := greedy(g, GreedyOptions{K: k, Restarts: 3, Constraints: c}, rng)
 		if err != nil {
 			return false
 		}

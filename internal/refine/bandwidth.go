@@ -22,7 +22,7 @@ type BandwidthStats struct {
 	Feasible bool
 }
 
-// RepairBandwidth greedily moves boundary nodes between parts to drive
+// RepairBandwidthWS greedily moves boundary nodes between parts to drive
 // every pairwise bandwidth under c.Bmax, while respecting c.Rmax on the
 // destination part when possible (the paper's FM-based bandwidth-repair
 // step of §IV-B/§IV-C: "Partitions will be changed and nodes will move
@@ -31,16 +31,10 @@ type BandwidthStats struct {
 // (excess reduction, cut reduction) lexicographic gain; a node moves at
 // most once per pass. Stops when feasible, when a pass makes no progress,
 // or after maxPasses (default 16).
-func RepairBandwidth(g *graph.Graph, parts []int, k int, c metrics.Constraints, maxPasses int) BandwidthStats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RepairBandwidthWS(ws, g.ToCSR(), parts, k, c, maxPasses)
-}
-
-// RepairBandwidthWS is RepairBandwidth on a CSR graph — the form the
-// multilevel driver uses on each hierarchy level's CSR, shared across
-// every refinement stage at that level — drawing the partition state and
-// the per-pass moved set from ws.
+//
+// It reads a CSR graph — the engine passes each hierarchy level's CSR,
+// shared across every refinement stage at that level — and draws the
+// partition state and the per-pass moved set from ws.
 func RepairBandwidthWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) BandwidthStats {
 	st := BandwidthStats{}
 	if c.Bmax <= 0 {
@@ -146,25 +140,17 @@ func repairBandwidthState(s *pstate.State, csr *graph.CSR, c metrics.Constraints
 	return st
 }
 
-// RebalanceResources moves nodes out of parts whose resource total
-// exceeds rmax into the part with the most free space, preferring moves
-// that increase the cut least. It is the repair used after the greedy
-// initial partitioning when forced placement overfilled a part. Stops
-// when all parts fit, when stuck, or after maxPasses (default 16).
+// RebalanceResourcesWS moves nodes out of parts whose resource total
+// exceeds their bound into the part with the most free space, preferring
+// moves that increase the cut least. It is the repair used after the
+// greedy initial partitioning when forced placement overfilled a part.
+// Stops when all parts fit, when stuck, or after maxPasses (default 16).
 // Returns the number of moves applied and whether all parts now fit.
-func RebalanceResources(g *graph.Graph, parts []int, k int, rmax int64, maxPasses int) (int, bool) {
-	if rmax <= 0 {
-		return 0, true
-	}
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RebalanceResourcesWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, maxPasses)
-}
-
-// RebalanceResourcesWS is RebalanceResources on a prebuilt CSR snapshot
-// with the per-part totals and connectivity scratch drawn from ws, under
-// heterogeneous per-part bounds (c.RmaxFor): a part is overfull relative
-// to its own capacity, and destinations are sized by theirs. Parts with
+//
+// It reads a prebuilt CSR snapshot and draws the per-part totals and
+// connectivity scratch from ws. Bounds are per part (c.RmaxFor): a part
+// is overfull relative to its own capacity, and destinations are sized
+// by theirs. Parts with
 // no active bound are never overfull and accept any node. Returns
 // (0, true) when no part has an active bound.
 func RebalanceResourcesWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) (int, bool) {

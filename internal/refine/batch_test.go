@@ -12,7 +12,7 @@ import (
 )
 
 // randomKWayStart assigns every node a random part but guarantees each of
-// the k parts is non-empty (the batch pass, like KWayFM, promises never to
+// the k parts is non-empty (the batch pass, like KWayFMWS, promises never to
 // empty a part — the promise is vacuous on starts that already have one).
 func randomKWayStart(rng *rand.Rand, n, k int) []int {
 	parts := make([]int, n)

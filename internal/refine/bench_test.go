@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/metrics"
 )
 
@@ -29,11 +30,13 @@ func BenchmarkKWayFM(b *testing.B) {
 	for i := range base {
 		base[i] = i % 8
 	}
-	bound := g.TotalNodeWeight()/8 + g.MaxNodeWeight()
+	c := metrics.Constraints{Rmax: g.TotalNodeWeight()/8 + g.MaxNodeWeight()}
+	csr := g.ToCSR()
+	ws := &arena.Workspace{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		KWayFM(g, parts, 8, bound, 4)
+		KWayFMWS(ws, csr, parts, 8, c, 4)
 	}
 }
 
@@ -45,10 +48,12 @@ func BenchmarkRepairBandwidth(b *testing.B) {
 		base[i] = rng.Intn(4)
 	}
 	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 8}
+	csr := g.ToCSR()
+	ws := &arena.Workspace{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		RepairBandwidth(g, parts, 4, c, 4)
+		RepairBandwidthWS(ws, csr, parts, 4, c, 4)
 	}
 }
 

@@ -169,22 +169,17 @@ func fmBisectPass(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource 
 	return bestCut < startCut, bestCut, bestLen
 }
 
-// KWayFM runs greedy k-way FM refinement: repeated passes over boundary
+// KWayFMWS runs greedy k-way FM refinement: repeated passes over boundary
 // nodes, each pass moving nodes (at most once each) to the neighbor part
 // with the best positive gain, subject to the resource bound. Unlike
 // 2-way FM it does not hill-climb — this mirrors the coarse-grained
-// k-way refinement used in multilevel k-way partitioners. maxResource
-// <= 0 disables the bound; maxPasses <= 0 defaults to 8.
-func KWayFM(g *graph.Graph, parts []int, k int, maxResource int64, maxPasses int) Stats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return KWayFMWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: maxResource}, maxPasses)
-}
-
-// KWayFMWS is KWayFM on a prebuilt CSR snapshot with the per-part totals
-// and connectivity scratch drawn from ws, under heterogeneous per-part
-// resource bounds: the destination check uses c.RmaxFor(to), so a big
-// part can absorb nodes a small one cannot (<= 0 = unbounded). Only the
+// k-way refinement used in multilevel k-way partitioners. maxPasses <= 0
+// defaults to 8.
+//
+// It reads a prebuilt CSR snapshot and draws the per-part totals and
+// connectivity scratch from ws. Resource bounds are per part: the
+// destination check uses c.RmaxFor(to), so a big part can absorb nodes a
+// small one cannot (<= 0 = unbounded). Only the
 // resource bounds of c are read. The cut is tracked incrementally from
 // the applied gains, so the only full adjacency sweep is the initial cut
 // count.

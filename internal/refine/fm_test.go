@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
@@ -142,7 +143,7 @@ func TestKWayFMImprovesAndRespectsBounds(t *testing.T) {
 				rmax = r
 			}
 		}
-		st := KWayFM(g, parts, k, rmax, 0)
+		st := KWayFMWS(&arena.Workspace{}, g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, 0)
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
 			t.Fatalf("trial %d: k-way FM worsened cut", trial)
@@ -169,7 +170,7 @@ func TestKWayFMKeepsPartsNonEmpty(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % k
 	}
-	KWayFM(g, parts, k, 0, 0)
+	KWayFMWS(&arena.Workspace{}, g.ToCSR(), parts, k, metrics.Constraints{}, 0)
 	for p, s := range metrics.PartSizes(parts, k) {
 		if s == 0 {
 			t.Fatalf("part %d emptied", p)
@@ -194,7 +195,7 @@ func TestPropertyFMPreservesAssignmentValidity(t *testing.T) {
 		for i := range kparts {
 			kparts[i] = rng.Intn(k)
 		}
-		KWayFM(g, kparts, k, 0, 3)
+		KWayFMWS(&arena.Workspace{}, g.ToCSR(), kparts, k, metrics.Constraints{}, 3)
 		return metrics.Validate(g, kparts, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -20,10 +20,11 @@ import (
 )
 
 // panickySolver panics on every full-configuration attempt and succeeds
-// only under the degraded retry configuration (serial, pruning off) —
-// the shape of a concurrency bug in the parallel search.
+// only under the degraded retry configuration (one cycle at a time,
+// serial refinement) — the shape of a concurrency bug in the parallel
+// search.
 func panickySolver(ctx context.Context, g *graph.Graph, opts core.Options, _ *engine.Trace) (*core.Result, error) {
-	if opts.Parallelism != 1 || opts.Prune != core.PruneOff {
+	if opts.Parallelism != 1 || opts.Refine != core.RefineSerial {
 		panic("injected solver bug in parallel search")
 	}
 	return fakeResult(g, opts, false), nil

@@ -674,14 +674,13 @@ func panicMessage(v any) string {
 	return msg
 }
 
-// degradedOptions is the retry configuration after a panic: serial
-// refinement (one cycle at a time) with shared-incumbent pruning off and
-// the data-parallel batch refiner disabled — the most conservative search
-// the engine offers, cutting out the concurrent machinery a panicking
-// solve may have tripped over.
+// degradedOptions is the retry configuration after a panic: one cycle at
+// a time with the data-parallel batch refiner disabled — the most
+// conservative search the engine offers, cutting out the concurrent
+// machinery a panicking solve may have tripped over. Neither setting
+// changes the partition the solve returns.
 func degradedOptions(opts core.Options) core.Options {
 	opts.Parallelism = 1
-	opts.Prune = core.PruneOff
 	opts.Refine = core.RefineSerial
 	return opts
 }

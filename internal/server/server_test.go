@@ -18,6 +18,7 @@ import (
 	"ppnpart/internal/gen"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/ppn"
 )
 
 // newTestServer spins up the full HTTP stack over cfg and tears it down
@@ -461,6 +462,63 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
+	}
+}
+
+// scrapeCounter reads one unlabelled counter from /metrics.
+func scrapeCounter(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(raw), "\n") {
+		var v int64
+		if n, _ := fmt.Sscanf(line, name+" %d", &v); n == 1 {
+			return v
+		}
+	}
+	t.Fatalf("metrics has no %s line\n%s", name, raw)
+	return 0
+}
+
+// TestMetricsHyperCounters: a replicating hypergraph job raises the
+// replication and hyperedge-cut counters by exactly its served figures.
+func TestMetricsHyperCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	net, err := gen.RandomFanoutPPN(40, gen.WeightRange{Lo: 10, Hi: 100},
+		gen.WeightRange{Lo: 1, Hi: 5}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := net.ToGraphHyper(ppn.DefaultResourceModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := graph.WriteJSON(&sb, g); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"graph":%s,"k":4,"rmax":%d,"options":{"seed":1,"replicate":true}}`,
+		sb.String(), g.TotalNodeWeight())
+	replicated0 := scrapeCounter(t, ts, "ppnd_replicated_nodes")
+	hcut0 := scrapeCounter(t, ts, "ppnd_hyperedge_cut")
+	status, env := postJob(t, ts, body)
+	if status != http.StatusOK || env.Result == nil {
+		t.Fatalf("status %d, envelope %+v", status, env)
+	}
+	jr := env.Result
+	if jr.ReplicatedNodes == 0 || jr.HyperedgeCut == 0 {
+		t.Fatalf("job replicated %d nodes with hyperedge cut %d; the case needs both non-zero",
+			jr.ReplicatedNodes, jr.HyperedgeCut)
+	}
+	if got := scrapeCounter(t, ts, "ppnd_replicated_nodes") - replicated0; got != int64(jr.ReplicatedNodes) {
+		t.Errorf("ppnd_replicated_nodes rose by %d, want %d", got, jr.ReplicatedNodes)
+	}
+	if got := scrapeCounter(t, ts, "ppnd_hyperedge_cut") - hcut0; got != jr.HyperedgeCut {
+		t.Errorf("ppnd_hyperedge_cut rose by %d, want %d", got, jr.HyperedgeCut)
 	}
 }
 

@@ -169,13 +169,6 @@ func (m *Metrics) HyperResult(replicated int, hcut int64) {
 	m.mu.Unlock()
 }
 
-// HyperCounts returns the replication/hyperedge counters (tests).
-func (m *Metrics) HyperCounts() (replicated, hcut int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replicatedNodes, m.hyperedgeCut
-}
-
 // CacheHit / CacheMiss record result-cache lookups.
 func (m *Metrics) CacheHit()  { m.mu.Lock(); m.cacheHit++; m.mu.Unlock() }
 func (m *Metrics) CacheMiss() { m.mu.Lock(); m.cacheMiss++; m.mu.Unlock() }

@@ -36,7 +36,6 @@ func FuzzStreamAssign(f *testing.F) {
 		opts := Options{
 			K:             k,
 			Constraints:   c,
-			Gamma:         1 + float64(data[3]%200)/100,
 			MaxIterations: int(data[3]%7) - 1,
 			Seed:          int64(data[3]) + 1,
 			Order:         Order(data[3] % 2),

@@ -4,13 +4,14 @@
 // HyperPRAW restreaming partitioner): the affinity to each part — the
 // total edge weight into neighbors already placed there — minus a convex
 // imbalance penalty alpha·((r+w)^gamma − r^gamma) on the part's resource
-// load, minus a dominant penalty on any increase of the pairwise
-// bandwidth excess over Bmax. Parts whose Rmax budget the vertex would
+// load (gamma = 1.5, alpha derived from the graph totals), minus a
+// dominant penalty on any increase of the pairwise bandwidth excess over
+// Bmax. Parts whose Rmax budget the vertex would
 // break are ineligible (with a least-loaded fallback so every vertex is
 // always assigned exactly once).
 //
 // A restreaming loop then re-feeds the stream with the previous
-// assignment as prior: each pass recomputes every vertex's best part as a
+// assignment: each pass recomputes every vertex's best part as a
 // pure function of the previous pass's full assignment and part totals (a
 // synchronous sweep, so it parallelizes over contiguous vertex chunks
 // writing per-vertex slots — bit-identical for any Workers count), and the
@@ -60,14 +61,6 @@ type Options struct {
 	// overflow is ineligible while any eligible part remains); any
 	// bandwidth-excess increase over Bmax is penalized dominantly.
 	Constraints metrics.Constraints
-	// Gamma is the imbalance penalty exponent (default 1.5, the HyperPRAW
-	// setting; must be >= 1: the penalty is convex so heavier parts repel
-	// marginal load harder).
-	Gamma float64
-	// Alpha scales the imbalance penalty. Non-positive derives the
-	// Battaglino coefficient sqrt(K)·EdgeWT/NodeWT^Gamma from the graph
-	// totals, which keeps the penalty commensurate with edge affinities.
-	Alpha float64
 	// MaxIterations caps the restream passes after the initial stream
 	// (default 8; negative disables restreaming).
 	MaxIterations int
@@ -85,11 +78,13 @@ type Options struct {
 	Order Order
 }
 
+// gamma is the imbalance penalty exponent, the HyperPRAW setting. It is
+// above 1, so the penalty is convex and heavier parts repel marginal load
+// harder.
+const gamma = 1.5
+
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
-	if o.Gamma == 0 {
-		o.Gamma = 1.5
-	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 8
 	}
@@ -116,9 +111,6 @@ func (o Options) validate() error {
 	if o.Constraints.Rmax < 0 {
 		return fmt.Errorf("stream: negative Rmax %d", o.Constraints.Rmax)
 	}
-	if o.Gamma != 0 && o.Gamma < 1 {
-		return fmt.Errorf("stream: Gamma = %v must be >= 1 (or 0 for the default)", o.Gamma)
-	}
 	if o.Order != OrderNatural && o.Order != OrderShuffle {
 		return fmt.Errorf("stream: unknown order %d", o.Order)
 	}
@@ -129,10 +121,10 @@ func (o Options) validate() error {
 // every restream pass that ran. Cut, the constraint excesses and Score are
 // the pstate-maintained canonical values of the pass's assignment.
 type IterTrace struct {
-	// Iter is the pass index (0 = initial stream or supplied prior).
+	// Iter is the pass index (0 = initial stream).
 	Iter int `json:"iter"`
 	// Moves counts vertices whose part changed in this pass (n on the
-	// initial stream, 0 for a supplied prior).
+	// initial stream).
 	Moves int `json:"moves"`
 	// Cut is the global edge cut after the pass.
 	Cut int64 `json:"cut"`
@@ -164,11 +156,6 @@ type Result struct {
 	Iterations int
 	// Iters is the per-pass trajectory, initial stream first.
 	Iters []IterTrace
-	// Shards and StitchMoves describe a sharded-ingest run: the number of
-	// streamed shards and the boundary moves of the BatchKWayWS stitch
-	// (zero for single-stream runs).
-	Shards      int
-	StitchMoves int
 	// Stopped reports context cancellation between passes; Parts then
 	// holds the last accepted assignment.
 	Stopped bool
@@ -187,7 +174,7 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 		return nil, err
 	}
 	ws := arena.Get()
-	res, err := run(ctx, ws, g.ToCSR(), opts, nil)
+	res, err := run(ctx, ws, g.ToCSR(), opts)
 	if err == nil {
 		res.Parts = append([]int(nil), res.Parts...)
 	}
@@ -203,15 +190,14 @@ func PartitionCSRWS(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, op
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, ws, csr, opts, nil)
+	return run(ctx, ws, csr, opts)
 }
 
 // chooser scores candidate parts for one vertex against part totals. The
-// same rule serves the batch streamer and the online Ingest.
+// same rule serves the initial stream and every restream sweep.
 type chooser struct {
 	k      int
 	cons   metrics.Constraints
-	gamma  float64
 	alpha  float64
 	bwBase float64 // dominant weight on bandwidth-excess increases
 	res    []int64 // per-part resource totals (live view)
@@ -270,7 +256,7 @@ func (c *chooser) score(p int, w int64, from int, conn []int64, touched []int) f
 	}
 	sc := float64(conn[p])
 	if c.alpha > 0 {
-		sc -= c.alpha * (math.Pow(float64(load+w), c.gamma) - math.Pow(float64(load), c.gamma))
+		sc -= c.alpha * (math.Pow(float64(load+w), gamma) - math.Pow(float64(load), gamma))
 	}
 	if d := c.bwExcessDelta(p, from, conn, touched); d != 0 {
 		sc -= c.bwBase * float64(d)
@@ -315,7 +301,7 @@ func (c *chooser) pick(w int64, from int, conn []int64, touched []int) int {
 // deriveAlpha is the Battaglino penalty coefficient sqrt(K)·m/n^gamma,
 // lifted to weighted graphs (m -> total edge weight, n -> total node
 // weight) so the marginal penalty stays commensurate with affinities.
-func deriveAlpha(k int, edgeWT, nodeWT int64, gamma float64) float64 {
+func deriveAlpha(k int, edgeWT, nodeWT int64) float64 {
 	if nodeWT <= 0 {
 		return 0
 	}
@@ -334,9 +320,9 @@ type streamer struct {
 	cut   int64
 }
 
-// run executes the initial stream (or adopts prior) plus the restream
-// loop. All scratch, including the returned Parts, comes from ws.
-func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options, prior []int) (*Result, error) {
+// run executes the initial stream plus the restream loop. All scratch,
+// including the returned Parts, comes from ws.
+func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n := csr.NumNodes()
 	k := opts.K
@@ -344,8 +330,7 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 		chooser: chooser{
 			k:      k,
 			cons:   opts.Constraints,
-			gamma:  opts.Gamma,
-			alpha:  opts.Alpha,
+			alpha:  deriveAlpha(k, csr.EdgeWT, csr.NodeWT),
 			bwBase: float64(csr.EdgeWT + 1),
 		},
 		ws:   ws,
@@ -353,23 +338,12 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 		opts: opts,
 		n:    n,
 	}
-	if s.alpha <= 0 {
-		s.alpha = deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma)
-	}
 	s.parts = ws.Ints.Cap(n)[:n]
 	s.res = zeroed64(&ws.Int64s, k)
 	s.bw = zeroed64(&ws.Int64s, k*k)
 
 	res := &Result{K: k}
-	moves := n
-	if prior == nil {
-		s.initialStream()
-	} else {
-		// A supplied prior (sharded ingest, engine reseed) replaces the
-		// initial stream; the pstate build below seeds the running totals.
-		copy(s.parts, prior)
-		moves = 0
-	}
+	s.initialStream()
 
 	// Canonical evaluation of each pass through pstate: Score/Feasible are
 	// bit-identical to the metrics package, and the accepted state refills
@@ -382,7 +356,7 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 	score := st.Score()
 	res.Feasible = st.Feasible()
 	res.Cut = st.Cut()
-	res.Iters = append(res.Iters, s.iterTrace(0, moves, true, st))
+	res.Iters = append(res.Iters, s.iterTrace(0, n, true, st))
 	s.refresh(st)
 	st.Release(ws)
 
